@@ -64,9 +64,10 @@ from .core import (
     NotExtreme,
     NotPSD,
     Tolerance,
-    _g_scalar,
+    _Floats,
+    _g,
 )
-from .membership import Oracle, member
+from .membership import Oracle, _parabola_interval, member
 
 __all__ = [
     "AngleTuple",
@@ -189,8 +190,24 @@ RANK_BY_STRATUM = {
 }
 
 
+def _psd_threshold(matrix: np.ndarray, tol: Tolerance) -> float:
+    """Eigenvalue threshold for semidefiniteness and numerical rank:
+    ``tol.eps_psd`` relative to the largest entry, or to 1 if larger."""
+    return tol.eps_psd * max(1.0, float(np.abs(matrix).max()))
+
+
+class _Certificate:
+    """PSD test shared by the primal and dual completion certificates."""
+
+    def min_eigenvalue(self) -> float:
+        return float(np.linalg.eigvalsh(self.matrix())[0])
+
+    def is_psd(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+        return self.min_eigenvalue() >= -_psd_threshold(self.matrix(), tol)
+
+
 @dataclass(frozen=True)
-class Completion:
+class Completion(_Certificate):
     """A candidate completion ``(u, v)`` of the 4x4 certificate matrix."""
 
     c: Correlation
@@ -206,13 +223,6 @@ class Completion:
             [c12, c22, self.v, 1.0],
         ])
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix())[0])
-
-    def is_psd(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        norm = max(1.0, float(np.abs(self.matrix()).max()))
-        return self.min_eigenvalue() >= -tol.eps_psd * norm
-
 
 @dataclass(frozen=True)
 class CompletionResult:
@@ -222,13 +232,6 @@ class CompletionResult:
     rank: int
     u_interval: tuple[float, float]
     v_interval: tuple[float, float]
-
-
-def _parabola_interval(a1: float, b1: float, a2: float, b2: float
-                       ) -> tuple[float, float]:
-    s1 = math.sqrt(max(b1, 0.0))
-    s2 = math.sqrt(max(b2, 0.0))
-    return max(a1 - s1, a2 - s2), min(a1 + s1, a2 + s2)
 
 
 def solve_completion(c: Correlation,
@@ -250,12 +253,12 @@ def solve_completion(c: Correlation,
     b_u1 = (1.0 - c11 * c11) * (1.0 - c21 * c21)
     b_u2 = (1.0 - c12 * c12) * (1.0 - c22 * c22)
     a_u1, a_u2 = c11 * c21, c12 * c22
-    lu, ru = _parabola_interval(a_u1, b_u1, a_u2, b_u2)
+    lu, ru = _parabola_interval(a_u1, b_u1, a_u2, b_u2, _Floats)
 
     b_v1 = (1.0 - c11 * c11) * (1.0 - c12 * c12)
     b_v2 = (1.0 - c21 * c21) * (1.0 - c22 * c22)
     a_v1, a_v2 = c11 * c12, c21 * c22
-    lv, rv = _parabola_interval(a_v1, b_v1, a_v2, b_v2)
+    lv, rv = _parabola_interval(a_v1, b_v1, a_v2, b_v2, _Floats)
 
     # 2x2 principal minors 1 - c_ij^2 are the in-cube part of feasibility
     quad_slack = min(1.0 - c11 * c11, 1.0 - c12 * c12,
@@ -276,8 +279,7 @@ def solve_completion(c: Correlation,
         and (rv - lv) <= _UNIQUE_WIDTH
 
     eigs = np.linalg.eigvalsh(witness.matrix())
-    norm = max(1.0, float(np.abs(witness.matrix()).max()))
-    rank = int((eigs > tol.eps_psd * norm).sum())
+    rank = int((eigs > _psd_threshold(witness.matrix(), tol)).sum())
 
     return CompletionResult(feasible=feasible, witness=witness, unique=unique,
                             rank=rank, u_interval=(lu, ru),
@@ -288,17 +290,14 @@ def solve_completion(c: Correlation,
 # Stratum classification
 # ---------------------------------------------------------------------------
 
-def _facet_cubic(values: tuple[float, float, float, float],
-                 sat_index: int) -> float:
-    """Residual elliptope cubic on the cube facet saturated at sat_index.
+def _facet_cubic(x, y, z, s):
+    """Residual elliptope cubic on a cube facet ``c_ij = s``, ``s = ±1``.
 
-    For a facet ``c_ij = s`` the remaining coordinates ``(x, y, z)`` must
-    satisfy ``1 - x² - y² - z² + 2·s·x·y·z ≥ 0``; the orientation sign is
-    the sign of the saturated coordinate.
+    The remaining coordinates ``(x, y, z)``, in order, must satisfy
+    ``1 - x² - y² - z² + 2·s·x·y·z ≥ 0``; the orientation sign is the
+    sign of the saturated coordinate.  A column kernel (see
+    :mod:`qbody.core`).
     """
-    s = 1.0 if values[sat_index] >= 0.0 else -1.0
-    others = [values[j] for j in range(4) if j != sat_index]
-    x, y, z = others
     return 1.0 - (x * x + y * y + z * z) + 2.0 * s * x * y * z
 
 
@@ -333,7 +332,9 @@ def classify(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE,
     elif k == 2:
         stratum = Stratum.Q2
     elif k == 1:
-        cubic = _facet_cubic(values, saturated[0])
+        i = saturated[0]
+        x, y, z = values[:i] + values[i + 1:]
+        cubic = _facet_cubic(x, y, z, 1.0 if values[i] >= 0.0 else -1.0)
         if abs(cubic) <= eps:
             stratum = Stratum.Q3
         elif cubic > eps:
@@ -342,7 +343,7 @@ def classify(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE,
             raise AmbiguousClassification(
                 "facet point outside its elliptope but inside the margin band")
     else:
-        g = _g_scalar(*values)
+        g = _g(*values)
         if g < 0.0:
             stratum = Stratum.Q4
         else:
@@ -383,7 +384,7 @@ def extreme_from_angles(t: AngleTuple,
         raise AngleSumViolation(f"angle sum residual {res:.3e}")
     point = t.cosines()
     sines = t.sines()
-    delta = sines[0] * sines[1] * sines[2] * sines[3]
+    delta = t.delta_product()
     if delta < -tol.eps_angle:
         stratum = Stratum.Q4
     elif delta > tol.eps_angle:
@@ -448,7 +449,7 @@ def exposing_functional(t: AngleTuple,
     sines = t.sines()
     if min(abs(s) for s in sines) < tol.eps_angle:
         raise DegenerateAngles("a sine vanishes; the functional is unbounded")
-    delta = sines[0] * sines[1] * sines[2] * sines[3]
+    delta = t.delta_product()
     if delta >= -tol.eps_angle:
         raise DegenerateAngles(
             f"sine product {delta:.3e} is not strictly negative")
@@ -511,12 +512,12 @@ def gram_vectors(comp: Completion,
     matrix to 1e-9.
     """
     matrix = comp.matrix()
-    norm = max(1.0, float(np.abs(matrix).max()))
+    threshold = _psd_threshold(matrix, tol)
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    if eigvals[0] < -tol.eps_psd * norm:
+    if eigvals[0] < -threshold:
         raise NotPSD(f"minimum eigenvalue {eigvals[0]:.3e}")
 
-    keep = eigvals > tol.eps_psd * norm
+    keep = eigvals > threshold
     order = np.argsort(eigvals[keep])[::-1]
     vals = eigvals[keep][order]
     vecs = eigvecs[:, keep][:, order]

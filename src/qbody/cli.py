@@ -18,27 +18,9 @@ import sys
 from . import boundary, core, duality, measures, membership, quantum
 from .core import Correlation, Functional, QBodyError, Tolerance
 
-_ORACLES = {
-    "semialg": membership.Oracle.SEMIALG,
-    "pushout": membership.Oracle.PUSHOUT,
-    "completion": membership.Oracle.COMPLETION,
-    "timo": membership.Oracle.TIMO,
-    "landau": membership.Oracle.LANDAU,
-}
-
-_BODIES = {
-    "q": measures.Body.Q,
-    "cl": measures.Body.CL,
-    "elliptope": measures.Body.ELLIPTOPE3,
-}
-
-_TARGETS = {
-    "cube": measures.SampleTarget.CUBE,
-    "cl": measures.SampleTarget.CL,
-    "q-interior": measures.SampleTarget.Q_INTERIOR,
-    "q4": measures.SampleTarget.Q4_STRATUM,
-    "q5": measures.SampleTarget.Q5_STRATUM,
-}
+_ORACLES = {o.value: o for o in membership.Oracle}
+_BODIES = {b.value: b for b in measures.Body}
+_TARGETS = {t.value: t for t in measures.SampleTarget}
 
 
 def _vector(text: str, what: str) -> list[float]:
@@ -47,7 +29,8 @@ def _vector(text: str, what: str) -> list[float]:
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(f"{what} is not valid JSON: {exc}")
     if not isinstance(data, list) or len(data) != 4 \
-            or not all(isinstance(v, (int, float)) for v in data):
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in data):
         raise argparse.ArgumentTypeError(
             f"{what} must be a JSON array of 4 numbers")
     return [float(v) for v in data]
@@ -95,12 +78,12 @@ def _tolerance(args: argparse.Namespace) -> Tolerance:
 
 def _default_seed() -> int:
     env = os.environ.get("QBODY_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"QBODY_SEED must be an integer, got {env!r}") from None
 
 
 _POINT_HELP = "JSON array [c11,c12,c21,c22]"
@@ -168,13 +151,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body", choices=sorted(_BODIES), default="q")
     p.add_argument("--samples", type=int, default=1000000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("sample", help="draw points from a target set")
     p.add_argument("--target", choices=sorted(_TARGETS), default="cube")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="write CSV to this path instead of JSON")
 
     p = sub.add_parser("slice", help="labelled grid over a slice of the cube")
@@ -311,15 +292,13 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
 
     if cmd == "volume":
         seed = args.seed if args.seed is not None else _default_seed()
-        cfg = measures.SamplerConfig(seed=seed, samples=args.samples,
-                                     workers=args.workers)
+        cfg = measures.SamplerConfig(seed=seed, samples=args.samples)
         estimate = measures.mc_volume(_BODIES[args.body], cfg)
         return {"fraction": estimate.fraction, "stderr": estimate.stderr}
 
     if cmd == "sample":
         seed = args.seed if args.seed is not None else _default_seed()
-        cfg = measures.SamplerConfig(seed=seed, samples=args.samples,
-                                     workers=args.workers)
+        cfg = measures.SamplerConfig(seed=seed, samples=args.samples)
         points = measures.sample(_TARGETS[args.target], cfg)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

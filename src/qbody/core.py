@@ -157,8 +157,27 @@ def _check_finite(name: str, values: Iterable[float]) -> None:
             raise ValueError(f"{name} entries must be finite, got {v!r}")
 
 
+class _Vector4:
+    """Shared behaviour of the 4-coordinate value types below."""
+
+    def __post_init__(self) -> None:
+        _check_finite(type(self).__name__, self.as_tuple())
+
+    @classmethod
+    def from_sequence(cls, seq: Sequence[float]):
+        if len(seq) != 4:
+            raise ValueError(f"expected 4 entries, got {len(seq)}")
+        return cls(float(seq[0]), float(seq[1]), float(seq[2]), float(seq[3]))
+
+    def as_array(self) -> np.ndarray:
+        return np.array(self.as_tuple(), dtype=float)
+
+    def __iter__(self):
+        return iter(self.as_tuple())
+
+
 @dataclass(frozen=True)
-class Correlation:
+class Correlation(_Vector4):
     """A candidate correlation point ``(c11, c12, c21, c22)``.
 
     Entries are expectation values of products of ±1 outcomes, so members of
@@ -171,27 +190,12 @@ class Correlation:
     c21: float
     c22: float
 
-    def __post_init__(self) -> None:
-        _check_finite("Correlation", self.as_tuple())
-
-    @classmethod
-    def from_sequence(cls, seq: Sequence[float]) -> "Correlation":
-        if len(seq) != 4:
-            raise ValueError(f"expected 4 entries, got {len(seq)}")
-        return cls(float(seq[0]), float(seq[1]), float(seq[2]), float(seq[3]))
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.c11, self.c12, self.c21, self.c22)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple(), dtype=float)
-
-    def __iter__(self):
-        return iter(self.as_tuple())
-
 
 @dataclass(frozen=True)
-class Functional:
+class Functional(_Vector4):
     """Coefficients of a linear correlation inequality ``f·c ≤ 1``."""
 
     f11: float
@@ -199,23 +203,8 @@ class Functional:
     f21: float
     f22: float
 
-    def __post_init__(self) -> None:
-        _check_finite("Functional", self.as_tuple())
-
-    @classmethod
-    def from_sequence(cls, seq: Sequence[float]) -> "Functional":
-        if len(seq) != 4:
-            raise ValueError(f"expected 4 entries, got {len(seq)}")
-        return cls(float(seq[0]), float(seq[1]), float(seq[2]), float(seq[3]))
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.f11, self.f12, self.f21, self.f22)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple(), dtype=float)
-
-    def __iter__(self):
-        return iter(self.as_tuple())
 
     def dot(self, c: "Correlation") -> float:
         return (self.f11 * c.c11 + self.f12 * c.c12
@@ -297,15 +286,33 @@ CHSH_SIGN_PATTERNS = tuple(
 
 
 # ---------------------------------------------------------------------------
-# Polynomials
+# Column kernels
 # ---------------------------------------------------------------------------
+#
+# Every formula is written once, as a function of the four coordinates.
+# The same code evaluates one point (Python floats) or a batch (numpy
+# columns, ``*pts.T``).  Kernels use only ``+ - *``, the builtin ``abs``,
+# and ``minimum``, ``maximum``, ``sqrt``, ``arcsin`` and ``clip`` from a
+# namespace argument ``xp``: ``numpy`` for arrays, :class:`_Floats` for
+# floats, which keeps numpy's per-call overhead off the scalar path.
 
-def _g_scalar(c11: float, c12: float, c21: float, c22: float) -> float:
+class _Floats:
+    """The five numpy functions the kernels use, over builtins and math."""
+
+    minimum, maximum, sqrt, arcsin = min, max, math.sqrt, math.asin
+
+    @staticmethod
+    def clip(v, lo, hi):
+        return min(hi, max(lo, v))
+
+
+def _g(c11, c12, c21, c22):
     return 2.0 - (c11 * c11 + c12 * c12 + c21 * c21 + c22 * c22) \
         + 2.0 * c11 * c12 * c21 * c22
 
 
-def _h_product_scalar(c11: float, c12: float, c21: float, c22: float) -> float:
+def _h(c11, c12, c21, c22):
+    """``h`` in the degree-6 product form."""
     sextic = 4.0 * ((c11 * c22 - c12 * c21)
                     * (c11 * c21 - c12 * c22)
                     * (c11 * c12 - c21 * c22))
@@ -316,10 +323,38 @@ def _h_product_scalar(c11: float, c12: float, c21: float, c22: float) -> float:
     return sextic - quartic
 
 
-def _h_squared_scalar(c11: float, c12: float, c21: float, c22: float) -> float:
-    g = _g_scalar(c11, c12, c21, c22)
+def _h_squared(c11: float, c12: float, c21: float, c22: float) -> float:
+    g = _g(c11, c12, c21, c22)
     return 4.0 * ((1.0 - c11 * c11) * (1.0 - c12 * c12)
                   * (1.0 - c21 * c21) * (1.0 - c22 * c22)) - g * g
+
+
+def _k(f11, f12, f21, f22):
+    return ((f11 * f22 - f12 * f21)
+            * (f11 * f12 - f21 * f22)
+            * (f11 * f21 - f12 * f22))
+
+
+def _q(f11, f12, f21, f22):
+    return ((f11 + f12 + f21 + f22)
+            * (f11 - f12 + f21 - f22)
+            * (f11 + f12 - f21 - f22)
+            * (f11 - f12 - f21 + f22))
+
+
+def _h_polar(f11, f12, f21, f22):
+    """``h°(f) = k(f) - p(f)``."""
+    return _k(f11, f12, f21, f22) - f11 * f12 * f21 * f22
+
+
+def _odd_halves(c11, c12, c21, c22):
+    """``½·Σ s_ij·c_ij`` for the odd patterns 0001, 0010, 0100 and 0111.
+
+    The other four odd patterns are the negations of these, in reverse
+    order; negation is exact, so this is all eight combinations.
+    """
+    return (0.5 * (c11 + c12 + c21 - c22), 0.5 * (c11 + c12 - c21 + c22),
+            0.5 * (c11 - c12 + c21 + c22), 0.5 * (c11 - c12 - c21 - c22))
 
 
 def _assert_close(a: float, b: float, rel: float, what: str) -> None:
@@ -334,25 +369,12 @@ def primal_polys(c: Correlation, rel_tol: float = 1e-9) -> PrimalPolys:
     evaluated as well and the two must agree within ``rel_tol`` relative to
     ``max(1, |h|)``, otherwise :class:`ConsistencyError` is raised.
     """
-    c11, c12, c21, c22 = c.as_tuple()
-    g = _g_scalar(c11, c12, c21, c22)
-    h = _h_product_scalar(c11, c12, c21, c22)
-    h_alt = _h_squared_scalar(c11, c12, c21, c22)
+    t = c.as_tuple()
+    g = _g(*t)
+    h = _h(*t)
+    h_alt = _h_squared(*t)
     _assert_close(h, h_alt, rel_tol, "two evaluation forms of h disagree")
     return PrimalPolys(g=g, h=h)
-
-
-def _k_scalar(f11: float, f12: float, f21: float, f22: float) -> float:
-    return ((f11 * f22 - f12 * f21)
-            * (f11 * f12 - f21 * f22)
-            * (f11 * f21 - f12 * f22))
-
-
-def _q_scalar(f11: float, f12: float, f21: float, f22: float) -> float:
-    return ((f11 + f12 + f21 + f22)
-            * (f11 - f12 + f21 - f22)
-            * (f11 + f12 - f21 - f22)
-            * (f11 - f12 - f21 + f22))
 
 
 def dual_polys(f: Functional, rel_tol: float = 1e-9) -> DualPolys:
@@ -361,18 +383,18 @@ def dual_polys(f: Functional, rel_tol: float = 1e-9) -> DualPolys:
     ``h_dual = k - p`` and ``g_dual = 1 - 2|f|² + q`` are cross-checked
     against the transform route, ``h(2Hf)/256`` and ``g(2Hf)/2``.
     """
-    f11, f12, f21, f22 = f.as_tuple()
-    k = _k_scalar(f11, f12, f21, f22)
+    t = f.as_tuple()
+    f11, f12, f21, f22 = t
+    k = _k(*t)
     p = f11 * f12 * f21 * f22
-    q = _q_scalar(f11, f12, f21, f22)
+    q = _q(*t)
     norm2 = f11 * f11 + f12 * f12 + f21 * f21 + f22 * f22
-    h_dual = k - p
+    h_dual = _h_polar(*t)
     g_dual = 1.0 - 2.0 * norm2 + q
 
     y = TWO_H @ f.as_array()
-    _assert_close(h_dual, _h_product_scalar(*y) / 256.0, rel_tol,
-                  "h_dual vs h(2Hf)/256")
-    _assert_close(g_dual, _g_scalar(*y) / 2.0, rel_tol, "g_dual vs g(2Hf)/2")
+    _assert_close(h_dual, _h(*y) / 256.0, rel_tol, "h_dual vs h(2Hf)/256")
+    _assert_close(g_dual, _g(*y) / 2.0, rel_tol, "g_dual vs g(2Hf)/2")
     return DualPolys(k=k, p=p, q=q, g_dual=g_dual, h_dual=h_dual)
 
 
@@ -386,11 +408,8 @@ def chsh_values(c: Correlation) -> tuple[float, ...]:
     Returned in the fixed order of :data:`CHSH_SIGN_PATTERNS`.  Classical
     points have every value ≤ 1; cube points violate at most one.
     """
-    t = c.as_tuple()
-    return tuple(
-        0.5 * (s[0] * t[0] + s[1] * t[1] + s[2] * t[2] + s[3] * t[3])
-        for s in CHSH_SIGN_PATTERNS
-    )
+    halves = _odd_halves(*c.as_tuple())
+    return halves + tuple(-v for v in reversed(halves))
 
 
 def chsh_max(c: Correlation) -> float:

@@ -59,11 +59,13 @@ from .core import (
     ZeroFunctional,
     dual_polys,
     dual_transform,
-    _h_product_scalar,
-    _k_scalar,
+    _h,
+    _h_polar,
+    _q,
 )
 from .membership import MembershipVerdict, Oracle, member
-from .boundary import AngleTuple, exposing_functional
+from .boundary import (AngleTuple, _Certificate, _psd_threshold,
+                       exposing_functional)
 
 __all__ = [
     "CaseVerdict",
@@ -92,10 +94,6 @@ class CaseVerdict:
     m_value: float | None
     phi_classical: float
     phi_quantum: float | None
-
-
-def _phi_classical(f: Functional) -> float:
-    return float(np.abs(TWO_H @ f.as_array()).max())
 
 
 def quantum_case(f: Functional,
@@ -127,11 +125,7 @@ def quantum_case(f: Functional,
 
     # criterion B: p < 0 and the even-signed product of reciprocals < 0
     if p < 0.0:
-        r = [1.0 / v for v in entries]
-        m_tilde = ((r[0] + r[1] + r[2] + r[3])
-                   * (r[0] + r[1] - r[2] - r[3])
-                   * (r[0] - r[1] + r[2] - r[3])
-                   * (r[0] - r[1] - r[2] + r[3]))
+        m_tilde = _q(*(1.0 / v for v in entries))
         margin_b = min(-p, -m_tilde)
     else:
         margin_b = -p
@@ -155,7 +149,7 @@ def quantum_case(f: Functional,
                 f"case criteria disagree: {verdicts} with margins "
                 f"({margin_a:.3e}, {margin_b:.3e}, {margin_c:.3e})")
 
-    phi_c = _phi_classical(f)
+    phi_c = float(np.abs(y).max())
     if verdict_a:
         phi_q = math.sqrt(polys.k / p)
     else:
@@ -208,7 +202,7 @@ def dual_member(f: Functional, oracle: Oracle = Oracle.SEMIALG,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DualCompletion:
+class DualCompletion(_Certificate):
     """Diagonal certificate for ``f ∈ Q°`` with balanced row sums."""
 
     f: Functional
@@ -230,13 +224,6 @@ class DualCompletion:
             [-f11, -f21, self.p3, 0.0],
             [-f12, -f22, 0.0, self.p4],
         ])
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix())[0])
-
-    def is_psd(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        norm = max(1.0, float(np.abs(self.matrix()).max()))
-        return self.min_eigenvalue() >= -tol.eps_psd * norm
 
 
 @dataclass(frozen=True)
@@ -295,8 +282,7 @@ def dual_completion(f: Functional,
 
     witness = DualCompletion(f=f, p1=float(p1_best), p2=float(1.0 - p1_best),
                              p3=float(p3_best), p4=float(1.0 - p3_best))
-    norm = max(1.0, float(np.abs(witness.matrix()).max()))
-    feasible = bool(val_best >= -tol.eps_psd * norm)
+    feasible = bool(val_best >= -_psd_threshold(witness.matrix(), tol))
     return DualCompletionResult(feasible=feasible, witness=witness)
 
 
@@ -418,8 +404,8 @@ def ncycle_residuals(c: Correlation, f: Functional) -> tuple[float, ...]:
     ct = c.as_tuple()
     ft = f.as_tuple()
     ell = sum(a * b for a, b in zip(ct, ft)) - 1.0
-    h_c = _h_product_scalar(*ct)
-    h_f = _k_scalar(*ft) - ft[0] * ft[1] * ft[2] * ft[3]
+    h_c = _h(*ct)
+    h_f = _h_polar(*ft)
     gens = _ideal_generators(ct, ft)
 
     c_refl = dual_transform(ft, TransformDirection.FROM_DUAL)

@@ -4,10 +4,8 @@ Randomness contract: all sampling is driven by a PCG64 generator.  The
 requested sample count is processed in fixed blocks of 65536 draws, and
 block ``b`` uses the stream ``SeedSequence(seed, spawn_key=(b,))``.
 Results are therefore a deterministic function of ``(seed, samples)``
-alone; the ``workers`` field only partitions blocks across executors and
-never changes the output.  Rejection samplers consume whole blocks until
-enough points are accepted and then truncate, which keeps them inside the
-same contract.
+alone.  Rejection samplers consume whole blocks until enough points are
+accepted and then truncate, which keeps them inside the same contract.
 
 Volume facts this module reproduces as Monte-Carlo fractions of the
 ambient cube:
@@ -16,10 +14,6 @@ ambient cube:
 * classical polytope: 2/3 of the 4-cube,
 * three-dimensional elliptope {1 - x² - y² - z² + 2xyz ≥ 0}: π²/16
   of the 3-cube.
-
-The exact quantum fraction is cross-validated by quasi-Monte-Carlo
-integration of the sine pushout's Jacobian, Π (π/2)·cos(π·x_ij/2), over
-the classical polytope.
 
 Stratum samplers draw uniformly in parameter space (angles for the
 exposed-extreme stratum, facet coordinates for the elliptope stratum),
@@ -38,7 +32,7 @@ import numpy as np
 
 from .core import Correlation, InvalidSlice, Tolerance, DEFAULT_TOLERANCE
 from .membership import Oracle, classical_margin_batch, margin_batch, member_classical
-from .boundary import classify
+from .boundary import _facet_cubic, classify
 
 __all__ = [
     "Body",
@@ -85,15 +79,12 @@ class SamplerConfig:
 
     seed: int
     samples: int
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.samples < 1:
             raise ValueError("samples must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,11 +96,6 @@ class VolumeEstimate:
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
-
-
-def _elliptope_mask(pts: np.ndarray) -> np.ndarray:
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    return 1.0 - x * x - y * y - z * z + 2.0 * x * y * z >= 0.0
 
 
 def mc_volume(body: Body, cfg: SamplerConfig) -> VolumeEstimate:
@@ -126,7 +112,7 @@ def mc_volume(body: Body, cfg: SamplerConfig) -> VolumeEstimate:
         elif body is Body.CL:
             hits += int((classical_margin_batch(pts) >= 0.0).sum())
         else:
-            hits += int(_elliptope_mask(pts).sum())
+            hits += int((_facet_cubic(*pts.T, 1.0) >= 0.0).sum())
         remaining -= n
         block += 1
     fraction = hits / cfg.samples
@@ -134,26 +120,8 @@ def mc_volume(body: Body, cfg: SamplerConfig) -> VolumeEstimate:
     return VolumeEstimate(fraction=fraction, stderr=stderr)
 
 
-def exact_volume_ratio(qmc_exponent: int = 19) -> float:
-    """The closed-form quantum fraction of the cube, 3·π²/32.
-
-    Cross-validated against quasi-Monte-Carlo integration of the pushout
-    Jacobian over the classical polytope (Sobol points, 2**qmc_exponent
-    samples); a deviation beyond 1e-3 raises, since it would mean the
-    closed form and the geometry disagree.
-    """
-    from scipy.stats import qmc
-    from .core import ConsistencyError
-
-    sampler = qmc.Sobol(d=4, scramble=False)
-    pts = 2.0 * sampler.random_base2(m=qmc_exponent) - 1.0
-    inside = classical_margin_batch(pts) >= 0.0
-    jacobian = np.prod(0.5 * math.pi * np.cos(0.5 * math.pi * pts), axis=1)
-    estimate = float(np.mean(inside * jacobian))
-    if abs(estimate - EXACT_Q_FRACTION) > 1e-3:
-        raise ConsistencyError(
-            f"pushout-Jacobian integral {estimate!r} deviates from the "
-            f"closed form {EXACT_Q_FRACTION!r}")
+def exact_volume_ratio() -> float:
+    """The closed-form quantum fraction of the cube, 3·π²/32."""
     return EXACT_Q_FRACTION
 
 
@@ -219,15 +187,16 @@ def _accept_q5(rng: np.random.Generator) -> np.ndarray:
     facets = rng.integers(0, 8, size=_BLOCK)
     axis = facets // 2
     sign = np.where(facets % 2 == 0, 1.0, -1.0)
-    x, y, z = coords[:, 0], coords[:, 1], coords[:, 2]
-    cubic = 1.0 - x * x - y * y - z * z + 2.0 * sign * x * y * z
-    keep = (cubic > _FACET_COLLAR) & (np.abs(coords).max(axis=1)
-                                      < 1.0 - _FACET_COLLAR)
+    keep = (_facet_cubic(*coords.T, sign) > _FACET_COLLAR) \
+        & (np.abs(coords).max(axis=1) < 1.0 - _FACET_COLLAR)
     coords, axis, sign = coords[keep], axis[keep], sign[keep]
+    # the saturated coordinate goes in column ``axis``, the free ones
+    # keep their order around it
+    rows = np.arange(coords.shape[0])
+    free = np.arange(3)
     pts = np.empty((coords.shape[0], 4))
-    for i in range(coords.shape[0]):
-        row = np.insert(coords[i], axis[i], sign[i])
-        pts[i] = row
+    pts[rows, axis] = sign
+    pts[rows[:, None], free + (free >= axis[:, None])] = coords
     return pts
 
 

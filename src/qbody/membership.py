@@ -20,10 +20,6 @@ classification treats such points as boundary.
 The square-root based oracles require the cube hypothesis; negative
 radicands (only possible outside the cube) are clamped to zero and the
 cube slack then drives the verdict.
-
-``*_batch`` variants evaluate margins for ``(n, 4)`` arrays of points with
-identical semantics; they exist because the Monte-Carlo measures and the
-large consistency sweeps need throughput the scalar path cannot offer.
 """
 
 from __future__ import annotations
@@ -36,10 +32,14 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCE,
+    ConsistencyError,
     Correlation,
     InputOutsideCube,
     Tolerance,
-    chsh_values,
+    _Floats,
+    _g,
+    _h,
+    _odd_halves,
 )
 
 __all__ = [
@@ -81,6 +81,86 @@ class MembershipVerdict:
 
 
 # ---------------------------------------------------------------------------
+# Margin kernels (see the column-kernel notes in qbody.core)
+# ---------------------------------------------------------------------------
+
+def _cube_slack(a, b, c, d, xp):
+    return 1.0 - xp.maximum(xp.maximum(abs(a), abs(b)),
+                            xp.maximum(abs(c), abs(d)))
+
+
+def _inverse_pushout(v, xp):
+    """``(2/π)·asin(v)`` on the coordinate clamped to ``[-1, 1]``."""
+    return (2.0 / math.pi) * xp.arcsin(xp.clip(v, -1.0, 1.0))
+
+
+def _parabola_interval(a1, b1, a2, b2, xp):
+    """Intersection ``(lo, hi)`` of the nonnegativity intervals of the
+    parabolas ``b1 - (u - a1)²`` and ``b2 - (u - a2)²``; empty if lo > hi."""
+    s1 = xp.sqrt(xp.maximum(b1, 0.0))
+    s2 = xp.sqrt(xp.maximum(b2, 0.0))
+    return xp.maximum(a1 - s1, a2 - s2), xp.minimum(a1 + s1, a2 + s2)
+
+
+def _classical(a, b, c, d, xp):
+    s1, s2, s3, s4 = _odd_halves(a, b, c, d)
+    odd = xp.maximum(xp.maximum(abs(s1), abs(s2)), xp.maximum(abs(s3), abs(s4)))
+    return xp.minimum(_cube_slack(a, b, c, d, xp), 1.0 - odd)
+
+
+def _semialg(a, b, c, d, xp):
+    return xp.minimum(_cube_slack(a, b, c, d, xp),
+                      xp.maximum(_g(a, b, c, d), _h(a, b, c, d)))
+
+
+def _pushout(a, b, c, d, xp):
+    # outside the cube the cube slack is negative and both terms
+    # contribute to the (negative) margin
+    inv = [_inverse_pushout(v, xp) for v in (a, b, c, d)]
+    return xp.minimum(_cube_slack(a, b, c, d, xp), _classical(*inv, xp))
+
+
+def _completion(a, b, c, d, xp):
+    # Positive-semidefinite completability reduces to the intersection of
+    # the nonnegativity intervals of two downward parabolas in the free
+    # entry u, plus the four 2x2 diagonal minors (the cube, quadratically).
+    quad = xp.minimum(xp.minimum(1.0 - a * a, 1.0 - b * b),
+                      xp.minimum(1.0 - c * c, 1.0 - d * d))
+    lo, hi = _parabola_interval(a * c, (1.0 - a * a) * (1.0 - c * c),
+                                b * d, (1.0 - b * b) * (1.0 - d * d), xp)
+    return xp.minimum(quad, hi - lo)
+
+
+def _timo(a, b, c, d, xp):
+    prod = (1.0 - a * a) * (1.0 - b * b) * (1.0 - c * c) * (1.0 - d * d)
+    return xp.minimum(_cube_slack(a, b, c, d, xp),
+                      _g(a, b, c, d) + 2.0 * xp.sqrt(xp.maximum(prod, 0.0)))
+
+
+def _landau(a, b, c, d, xp):
+    r1 = xp.maximum((1.0 - a * a) * (1.0 - b * b), 0.0)
+    r2 = xp.maximum((1.0 - c * c) * (1.0 - d * d), 0.0)
+    slack = xp.sqrt(r1) + xp.sqrt(r2) - abs(a * b - c * d)
+    return xp.minimum(_cube_slack(a, b, c, d, xp), slack)
+
+
+_MARGINS = {
+    Oracle.SEMIALG: _semialg,
+    Oracle.PUSHOUT: _pushout,
+    Oracle.COMPLETION: _completion,
+    Oracle.TIMO: _timo,
+    Oracle.LANDAU: _landau,
+}
+
+
+def _margin_kernel(oracle: Oracle):
+    try:
+        return _MARGINS[oracle]
+    except KeyError:
+        raise ValueError(f"unknown oracle {oracle!r}") from None
+
+
+# ---------------------------------------------------------------------------
 # Pushout
 # ---------------------------------------------------------------------------
 
@@ -96,11 +176,11 @@ def pushout(c: Correlation, direction: PushDirection,
     for v in vals:
         if abs(v) > 1.0 + tol.eps_boundary:
             raise InputOutsideCube(f"coordinate {v!r} outside [-1, 1]")
-    clamped = [min(1.0, max(-1.0, v)) for v in vals]
     if direction is PushDirection.FORWARD:
-        out = [math.sin(0.5 * math.pi * v) for v in clamped]
+        out = [math.sin(0.5 * math.pi * _Floats.clip(v, -1.0, 1.0))
+               for v in vals]
     elif direction is PushDirection.INVERSE:
-        out = [(2.0 / math.pi) * math.asin(v) for v in clamped]
+        out = [_inverse_pushout(v, _Floats) for v in vals]
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown direction {direction!r}")
     return Correlation(*out)
@@ -116,70 +196,13 @@ def member_classical(c: Correlation) -> MembershipVerdict:
     The 16 face constraints are the 8 cube bounds and the 8 odd-signed
     combinations; the margin is the minimum slack over all of them.
     """
-    cube_slack = 1.0 - max(abs(v) for v in c.as_tuple())
-    chsh_slack = 1.0 - max(chsh_values(c))
-    margin = min(cube_slack, chsh_slack)
+    margin = _classical(*c.as_tuple(), _Floats)
     return MembershipVerdict(inside=margin >= 0.0, margin=margin, oracle=None)
 
 
 # ---------------------------------------------------------------------------
-# Q oracles (scalar)
+# Q oracles
 # ---------------------------------------------------------------------------
-
-def _semialg_margin(c: Correlation) -> float:
-    from .core import _g_scalar, _h_product_scalar
-    t = c.as_tuple()
-    cube_slack = 1.0 - max(abs(v) for v in t)
-    poly_slack = max(_g_scalar(*t), _h_product_scalar(*t))
-    return min(cube_slack, poly_slack)
-
-
-def _pushout_margin(c: Correlation) -> float:
-    # inverse transform on clamped coordinates; outside the cube the cube
-    # slack is negative and both terms contribute to the (negative) margin
-    vals = c.as_tuple()
-    cube_slack = 1.0 - max(abs(v) for v in vals)
-    inv = Correlation(*((2.0 / math.pi) * math.asin(min(1.0, max(-1.0, v)))
-                        for v in vals))
-    return min(cube_slack, member_classical(inv).margin)
-
-
-def _completion_margin(c: Correlation) -> float:
-    # Positive-semidefinite completability reduces to the intersection of
-    # the nonnegativity intervals of two downward parabolas in the free
-    # entry u, plus the four 2x2 diagonal minors (the cube, quadratically).
-    c11, c12, c21, c22 = c.as_tuple()
-    quad_slack = min(1.0 - c11 * c11, 1.0 - c12 * c12,
-                     1.0 - c21 * c21, 1.0 - c22 * c22)
-    b1 = (1.0 - c11 * c11) * (1.0 - c21 * c21)
-    b2 = (1.0 - c12 * c12) * (1.0 - c22 * c22)
-    s1 = math.sqrt(max(b1, 0.0))
-    s2 = math.sqrt(max(b2, 0.0))
-    a1 = c11 * c21
-    a2 = c12 * c22
-    width = min(a1 + s1, a2 + s2) - max(a1 - s1, a2 - s2)
-    return min(quad_slack, width)
-
-
-def _timo_margin(c: Correlation) -> float:
-    from .core import _g_scalar
-    t = c.as_tuple()
-    cube_slack = 1.0 - max(abs(v) for v in t)
-    prod = 1.0
-    for v in t:
-        prod *= 1.0 - v * v
-    root = math.sqrt(max(prod, 0.0))
-    return min(cube_slack, _g_scalar(*t) + 2.0 * root)
-
-
-def _landau_margin(c: Correlation) -> float:
-    c11, c12, c21, c22 = c.as_tuple()
-    cube_slack = 1.0 - max(abs(c11), abs(c12), abs(c21), abs(c22))
-    r1 = max((1.0 - c11 * c11) * (1.0 - c12 * c12), 0.0)
-    r2 = max((1.0 - c21 * c21) * (1.0 - c22 * c22), 0.0)
-    slack = math.sqrt(r1) + math.sqrt(r2) - abs(c11 * c12 - c21 * c22)
-    return min(cube_slack, slack)
-
 
 def member(c: Correlation, oracle: Oracle = Oracle.SEMIALG,
            tol: Tolerance = DEFAULT_TOLERANCE) -> MembershipVerdict:
@@ -192,26 +215,15 @@ def member(c: Correlation, oracle: Oracle = Oracle.SEMIALG,
     solver in :mod:`qbody.boundary` and must match the local interval
     margin's sign away from the boundary band.
     """
-    if oracle is Oracle.SEMIALG:
-        margin = _semialg_margin(c)
-    elif oracle is Oracle.PUSHOUT:
-        margin = _pushout_margin(c)
-    elif oracle is Oracle.COMPLETION:
-        margin = _completion_margin(c)
+    margin = _margin_kernel(oracle)(*c.as_tuple(), _Floats)
+    if oracle is Oracle.COMPLETION:
         from . import boundary
         feasible = boundary.solve_completion(c, tol).feasible
         if feasible != (margin >= 0.0) and abs(margin) > tol.eps_boundary:
-            from .core import ConsistencyError
             raise ConsistencyError(
                 f"completion solver verdict {feasible} contradicts interval "
                 f"margin {margin!r}")
         return MembershipVerdict(inside=feasible, margin=margin, oracle=oracle)
-    elif oracle is Oracle.TIMO:
-        margin = _timo_margin(c)
-    elif oracle is Oracle.LANDAU:
-        margin = _landau_margin(c)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown oracle {oracle!r}")
     return MembershipVerdict(inside=margin >= 0.0, margin=margin, oracle=oracle)
 
 
@@ -226,67 +238,12 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _g_batch(p: np.ndarray) -> np.ndarray:
-    return 2.0 - (p * p).sum(axis=1) + 2.0 * p.prod(axis=1)
-
-
-def _h_batch(p: np.ndarray) -> np.ndarray:
-    a, b, c, d = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
-    sextic = 4.0 * (a * d - b * c) * (a * c - b * d) * (a * b - c * d)
-    quartic = (a + b - c - d) * (a - b + c - d) * (a - b - c + d) * (a + b + c + d)
-    return sextic - quartic
-
-
 def classical_margin_batch(points: np.ndarray) -> np.ndarray:
     """Vectorized CL margin (cube slack and odd-signed combination slack)."""
-    from .core import TWO_H
-    p = _as_points(points)
-    cube = 1.0 - np.abs(p).max(axis=1)
-    flipped = p.copy()
-    flipped[:, 3] = -flipped[:, 3]
-    odd = 0.5 * np.abs(flipped @ TWO_H.T).max(axis=1)
-    return np.minimum(cube, 1.0 - odd)
+    return _classical(*_as_points(points).T, np)
 
 
 def margin_batch(points: np.ndarray, oracle: Oracle,
                  tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Vectorized signed margins; semantics identical to :func:`member`.
-
-    The scalar and batch paths are cross-checked in the test suite.
-    """
-    p = _as_points(points)
-    cube = 1.0 - np.abs(p).max(axis=1)
-
-    if oracle is Oracle.SEMIALG:
-        return np.minimum(cube, np.maximum(_g_batch(p), _h_batch(p)))
-
-    if oracle is Oracle.PUSHOUT:
-        clamped = np.clip(p, -1.0, 1.0)
-        inv = (2.0 / math.pi) * np.arcsin(clamped)
-        return np.minimum(cube, classical_margin_batch(inv))
-
-    if oracle is Oracle.COMPLETION:
-        sq = p * p
-        quad = (1.0 - sq).min(axis=1)
-        b1 = (1.0 - sq[:, 0]) * (1.0 - sq[:, 2])
-        b2 = (1.0 - sq[:, 1]) * (1.0 - sq[:, 3])
-        s1 = np.sqrt(np.maximum(b1, 0.0))
-        s2 = np.sqrt(np.maximum(b2, 0.0))
-        a1 = p[:, 0] * p[:, 2]
-        a2 = p[:, 1] * p[:, 3]
-        width = np.minimum(a1 + s1, a2 + s2) - np.maximum(a1 - s1, a2 - s2)
-        return np.minimum(quad, width)
-
-    if oracle is Oracle.TIMO:
-        prod = (1.0 - p * p).prod(axis=1)
-        return np.minimum(cube, _g_batch(p) + 2.0 * np.sqrt(np.maximum(prod, 0.0)))
-
-    if oracle is Oracle.LANDAU:
-        sq = p * p
-        r1 = np.maximum((1.0 - sq[:, 0]) * (1.0 - sq[:, 1]), 0.0)
-        r2 = np.maximum((1.0 - sq[:, 2]) * (1.0 - sq[:, 3]), 0.0)
-        slack = np.sqrt(r1) + np.sqrt(r2) - np.abs(
-            p[:, 0] * p[:, 1] - p[:, 2] * p[:, 3])
-        return np.minimum(cube, slack)
-
-    raise ValueError(f"unknown oracle {oracle!r}")  # pragma: no cover
+    """Vectorized signed margins; the same kernels as :func:`member`."""
+    return _margin_kernel(oracle)(*_as_points(points).T, np)

@@ -38,7 +38,7 @@ from qbody import (
     support,
     symmetry_group,
 )
-from qbody.core import TWO_H, _g_scalar, _h_product_scalar
+from qbody.core import TWO_H, _g, _h
 from qbody.membership import classical_margin_batch, margin_batch
 from qbody.measures import (
     EXACT_CL_FRACTION,
@@ -69,7 +69,7 @@ def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
 
 def test_01_volume_constant():
     start = time.perf_counter()
-    est = mc_volume(Body.Q, SamplerConfig(seed=42, samples=1000000, workers=1))
+    est = mc_volume(Body.Q, SamplerConfig(seed=42, samples=1000000))
     elapsed = time.perf_counter() - start
     deviation = abs(est.fraction - EXACT_Q_FRACTION)
     ok = deviation < 3 * est.stderr and elapsed < 10.0
@@ -265,8 +265,8 @@ def test_11_symmetry():
 
     rng = np.random.default_rng(1111)
     pts = rng.uniform(-1.0, 1.0, size=(1000, 4))
-    base_g = np.array([_g_scalar(*row) for row in pts])
-    base_h = np.array([_h_product_scalar(*row) for row in pts])
+    base_g = np.array([_g(*row) for row in pts])
+    base_h = np.array([_h(*row) for row in pts])
     base_in = margin_batch(pts, Oracle.SEMIALG) >= 0.0
     invariant = True
     equivariant = True

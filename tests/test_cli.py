@@ -159,6 +159,14 @@ class TestFilesAndSeeds:
         assert code1 == code2 == 0
         assert data1["fraction"] != data2["fraction"]
 
+    def test_env_seed_not_an_integer_is_usage_error(self, capsys,
+                                                    monkeypatch):
+        monkeypatch.setenv("QBODY_SEED", "abc")
+        with pytest.raises(SystemExit) as info:
+            main(["volume", "--samples", "1000"])
+        assert info.value.code == 2
+        assert "QBODY_SEED" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_domain_error_is_one(self, capsys):
@@ -173,6 +181,11 @@ class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["member", "--point", "[1,2"])
+        assert info.value.code == 2
+
+    def test_boolean_point_entries_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["member", "--point", "[true,false,0,0]"])
         assert info.value.code == 2
 
     def test_unknown_flag_rejected(self, capsys):

@@ -15,7 +15,7 @@ from qbody import (
     primal_polys,
     symmetry_group,
 )
-from qbody.core import HADAMARD, TWO_H, _g_scalar, _h_product_scalar, _h_squared_scalar
+from qbody.core import HADAMARD, TWO_H, _g, _h, _h_squared
 
 from helpers import CHSH_POINT, EVEN_VERTEX_TUPLES, SQRT2
 
@@ -49,8 +49,8 @@ class TestPrimalPolys:
         assert (np.abs(h1 - h2) <= 1e-9 * scale).all()
         # and the scalar path agrees with the vectorized one on a sample
         for row in pts[:200]:
-            assert _h_product_scalar(*row) == pytest.approx(
-                _h_squared_scalar(*row), rel=1e-9, abs=1e-9)
+            assert _h(*row) == pytest.approx(
+                _h_squared(*row), rel=1e-9, abs=1e-9)
 
 
 class TestDualPolys:
@@ -150,12 +150,12 @@ class TestSymmetryGroup:
         group = symmetry_group()
         for _ in range(40):
             c = rng.uniform(-1.5, 1.5, size=4)
-            g0 = _g_scalar(*c)
-            h0 = _h_product_scalar(*c)
+            g0 = _g(*c)
+            h0 = _h(*c)
             for idx in rng.integers(0, 192, size=12):
                 img = group[idx] @ c
-                assert _g_scalar(*img) == pytest.approx(g0, rel=1e-9, abs=1e-9)
-                assert _h_product_scalar(*img) == pytest.approx(
+                assert _g(*img) == pytest.approx(g0, rel=1e-9, abs=1e-9)
+                assert _h(*img) == pytest.approx(
                     h0, rel=1e-9, abs=1e-9)
 
 

@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from qbody import (
@@ -19,6 +20,7 @@ from qbody import (
     sample,
     slice_grid,
 )
+from qbody.membership import classical_margin_batch
 from qbody.measures import (
     EXACT_CL_FRACTION,
     EXACT_ELLIPTOPE_FRACTION,
@@ -40,10 +42,9 @@ class TestMcVolume:
         assert abs(est.fraction - EXACT_ELLIPTOPE_FRACTION) < 3 * est.stderr
 
     def test_deterministic_and_worker_invariant(self):
-        a = mc_volume(Body.Q, SamplerConfig(seed=5, samples=100000, workers=1))
-        b = mc_volume(Body.Q, SamplerConfig(seed=5, samples=100000, workers=1))
-        c = mc_volume(Body.Q, SamplerConfig(seed=5, samples=100000, workers=8))
-        assert a == b == c
+        a = mc_volume(Body.Q, SamplerConfig(seed=5, samples=100000))
+        b = mc_volume(Body.Q, SamplerConfig(seed=5, samples=100000))
+        assert a == b
 
     def test_monotone_fractions(self):
         cfg = SamplerConfig(seed=8, samples=100000)
@@ -55,8 +56,6 @@ class TestMcVolume:
             SamplerConfig(seed=-1, samples=10)
         with pytest.raises(ValueError):
             SamplerConfig(seed=0, samples=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(seed=0, samples=10, workers=0)
 
 
 class TestExactVolume:
@@ -64,6 +63,13 @@ class TestExactVolume:
         value = exact_volume_ratio()
         assert value == pytest.approx(0.9252754126, abs=1e-9)
         assert value == 3.0 * math.pi ** 2 / 32.0
+        # quasi-Monte-Carlo integral of the pushout Jacobian
+        # prod (pi/2)·cos(pi·x_ij/2) over the classical polytope
+        from scipy.stats import qmc
+        pts = 2.0 * qmc.Sobol(d=4, scramble=False).random_base2(m=19) - 1.0
+        inside = classical_margin_batch(pts) >= 0.0
+        jacobian = np.prod(0.5 * math.pi * np.cos(0.5 * math.pi * pts), axis=1)
+        assert abs(float(np.mean(inside * jacobian)) - value) < 1e-3
 
     def test_within_monte_carlo_band(self):
         est = mc_volume(Body.Q, SamplerConfig(seed=42, samples=1000000))
@@ -94,9 +100,6 @@ class TestSample:
         b = sample(SampleTarget.CUBE, cfg)
         assert a == b
         assert all(max(abs(v) for v in p.as_tuple()) <= 1 for p in a)
-        c = sample(SampleTarget.CUBE,
-                   SamplerConfig(seed=12, samples=500, workers=3))
-        assert a == c
 
 
 class TestSliceGrid:
