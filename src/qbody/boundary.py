@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,20 +120,23 @@ def _sum_residual(total: float) -> float:
 class AngleTuple:
     """Angles ``(alpha, beta, gamma, delta)`` with sum ≡ 0 mod 2π.
 
-    Construction validates the sum constraint at the default angle
-    tolerance.  :meth:`canonical` returns the representative with every
-    angle in ``(-pi, pi]`` and the overall-negation ambiguity of the
-    cosine parametrization resolved (``alpha ∈ [0, pi]``).
+    Construction validates the sum constraint at ``eps``, the default
+    angle tolerance unless given; ``eps`` takes no part in equality.
+    :meth:`canonical` returns the representative with every angle in
+    ``(-pi, pi]`` and the overall-negation ambiguity of the cosine
+    parametrization resolved (``alpha ∈ [0, pi]``).
     """
 
     alpha: float
     beta: float
     gamma: float
     delta: float
+    eps: float = field(default=DEFAULT_TOLERANCE.eps_angle, compare=False,
+                       repr=False)
 
     def __post_init__(self) -> None:
         res = _sum_residual(self.alpha + self.beta + self.gamma + self.delta)
-        if res > DEFAULT_TOLERANCE.eps_angle:
+        if res > self.eps:
             raise AngleSumViolation(
                 f"angle sum residual {res:.3e} exceeds tolerance")
 
@@ -155,7 +158,7 @@ class AngleTuple:
         return Correlation(*(math.cos(t) for t in self.as_tuple()))
 
     def canonical(self, eps: float | None = None) -> "AngleTuple":
-        eps = DEFAULT_TOLERANCE.eps_angle if eps is None else eps
+        eps = self.eps if eps is None else eps
         vals = [_wrap_angle(t, eps) for t in self.as_tuple()]
         flip = False
         if vals[0] < -eps:
@@ -168,7 +171,7 @@ class AngleTuple:
                     break
         if flip:
             vals = [_wrap_angle(-t, eps) for t in vals]
-        return AngleTuple(*vals)
+        return AngleTuple(*vals, eps=eps)
 
 
 class Stratum(enum.Enum):

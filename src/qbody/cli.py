@@ -208,18 +208,17 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
 
     if cmd == "support":
         f = Functional.from_sequence(args.functional)
-        tol = _tolerance(args)
-        phi = duality.support(f, tol)
+        phi = duality.support(f)
         if max(abs(v) for v in f.as_tuple()) == 0.0:
             case = "zero"
         else:
-            case = "quantum" if duality.quantum_case(f, tol).quantum_case \
+            case = "quantum" if duality.quantum_case(f).quantum_case \
                 else "classical"
         return {"phi": phi, "case": case}
 
     if cmd == "gauge":
         c = Correlation.from_sequence(args.point)
-        return {"gauge": duality.gauge(c, _tolerance(args))}
+        return {"gauge": duality.gauge(c)}
 
     if cmd == "dual":
         f = Functional.from_sequence(args.functional)
@@ -228,7 +227,7 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         completion = duality.dual_completion(f, tol)
         return {
             "member": _verdict_dict(verdict),
-            "support": duality.support(f, tol),
+            "support": duality.support(f),
             "completion": {
                 "feasible": completion.feasible,
                 "p": [completion.witness.p1, completion.witness.p2,
@@ -253,14 +252,14 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
             t = boundary.angles_from_point(
                 Correlation.from_sequence(args.point), tol)
             return {"angles": list(t.as_tuple())}
-        t = boundary.AngleTuple(*args.angles)
+        t = boundary.AngleTuple(*args.angles, eps=tol.eps_angle)
         ext = boundary.extreme_from_angles(t, tol)
         return {"point": list(ext.c.as_tuple()), "stratum": ext.stratum.value}
 
     if cmd == "expose":
         tol = _tolerance(args)
         if args.angles is not None:
-            t = boundary.AngleTuple(*args.angles)
+            t = boundary.AngleTuple(*args.angles, eps=tol.eps_angle)
         else:
             t = boundary.angles_from_point(
                 Correlation.from_sequence(args.point), tol)
@@ -268,7 +267,8 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         return {"functional": list(f.as_tuple())}
 
     if cmd == "model":
-        t = boundary.AngleTuple(*args.angles)
+        t = boundary.AngleTuple(*args.angles,
+                                eps=_tolerance(args).eps_angle)
         model = quantum.build_model(t)
         payload = model.to_json_dict()
         payload["correlations"] = list(quantum.correlations_of(model).as_tuple())
@@ -276,7 +276,8 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
 
     if cmd == "selftest":
         if args.angles is not None:
-            model = quantum.build_model(boundary.AngleTuple(*args.angles))
+            model = quantum.build_model(boundary.AngleTuple(
+                *args.angles, eps=_tolerance(args).eps_angle))
         else:
             with open(args.model, encoding="utf-8") as fh:
                 model = quantum.QuantumModel.from_json_dict(json.load(fh))

@@ -295,6 +295,9 @@ CHSH_SIGN_PATTERNS = tuple(
 # and ``minimum``, ``maximum``, ``sqrt``, ``arcsin`` and ``clip`` from a
 # namespace argument ``xp``: ``numpy`` for arrays, :class:`_Floats` for
 # floats, which keeps numpy's per-call overhead off the scalar path.
+# Batch callers go through ``membership._by_blocks``, which evaluates a
+# kernel a few thousand rows at a time: a kernel makes a few dozen
+# temporaries, and on block-sized columns they stay in the core's cache.
 
 class _Floats:
     """The five numpy functions the kernels use, over builtins and math."""

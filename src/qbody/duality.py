@@ -96,8 +96,7 @@ class CaseVerdict:
     phi_quantum: float | None
 
 
-def quantum_case(f: Functional,
-                 tol: Tolerance = DEFAULT_TOLERANCE) -> CaseVerdict:
+def quantum_case(f: Functional) -> CaseVerdict:
     """Decide whether ``f`` is maximized at a nonclassical exposed point.
 
     Three equivalent criteria are evaluated; they must agree whenever all
@@ -158,17 +157,17 @@ def quantum_case(f: Functional,
                        phi_classical=phi_c, phi_quantum=phi_q)
 
 
-def support(f: Functional, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def support(f: Functional) -> float:
     """Maximum of ``f·c`` over ``Q`` (positively homogeneous, support(0)=0)."""
     if max(abs(v) for v in f.as_tuple()) == 0.0:
         return 0.0
-    verdict = quantum_case(f, tol)
+    verdict = quantum_case(f)
     if verdict.quantum_case:
         return float(verdict.phi_quantum)
     return verdict.phi_classical
 
 
-def gauge(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def gauge(c: Correlation) -> float:
     """Gauge (Minkowski functional) of ``Q`` at ``c``.
 
     Self-duality turns the gauge of ``Q`` into the support of ``Q°``,
@@ -176,7 +175,7 @@ def gauge(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     those with gauge at most 1.
     """
     f = Functional(*dual_transform(c.as_tuple(), TransformDirection.TO_DUAL))
-    return support(f, tol)
+    return support(f)
 
 
 def dual_member(f: Functional, oracle: Oracle = Oracle.SEMIALG,
@@ -188,7 +187,7 @@ def dual_member(f: Functional, oracle: Oracle = Oracle.SEMIALG,
     """
     c = Correlation(*dual_transform(f.as_tuple(), TransformDirection.FROM_DUAL))
     verdict = member(c, oracle, tol)
-    s = support(f, tol)
+    s = support(f)
     if (s <= 1.0) != verdict.inside:
         if abs(s - 1.0) > 1e-8 and abs(verdict.margin) > 1e-8:
             raise ConsistencyError(

@@ -31,7 +31,8 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .core import Correlation, InvalidSlice, Tolerance, DEFAULT_TOLERANCE
-from .membership import Oracle, classical_margin_batch, margin_batch, member_classical
+from .membership import (Oracle, _by_blocks, classical_margin_batch,
+                         margin_batch, member_classical)
 from .boundary import _facet_cubic, classify
 
 __all__ = [
@@ -112,7 +113,7 @@ def mc_volume(body: Body, cfg: SamplerConfig) -> VolumeEstimate:
         elif body is Body.CL:
             hits += int((classical_margin_batch(pts) >= 0.0).sum())
         else:
-            hits += int((_facet_cubic(*pts.T, 1.0) >= 0.0).sum())
+            hits += int((_by_blocks(_facet_cubic, pts, 1.0) >= 0.0).sum())
         remaining -= n
         block += 1
     fraction = hits / cfg.samples
@@ -200,8 +201,7 @@ def _accept_q5(rng: np.random.Generator) -> np.ndarray:
     return pts
 
 
-def sample(target: SampleTarget, cfg: SamplerConfig,
-           tol: Tolerance = DEFAULT_TOLERANCE) -> list[Correlation]:
+def sample(target: SampleTarget, cfg: SamplerConfig) -> list[Correlation]:
     """Draw ``cfg.samples`` points from the requested set.
 
     ``CUBE`` is uniform; ``CL`` and ``Q_INTERIOR`` are rejections from the

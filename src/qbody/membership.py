@@ -20,6 +20,11 @@ classification treats such points as boundary.
 The square-root based oracles require the cube hypothesis; negative
 radicands (only possible outside the cube) are clamped to zero and the
 cube slack then drives the verdict.
+
+:func:`margin_batch` and :func:`classical_margin_batch` evaluate the same
+column kernels as the scalar path, on ``(n, 4)`` arrays, in blocks of a
+few thousand rows (``_by_blocks``) so that the kernels' temporaries stay
+in cache.  The kernels are elementwise, so blocking changes no bit.
 """
 
 from __future__ import annotations
@@ -238,12 +243,31 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     return pts
 
 
+# Rows per block: a kernel's temporaries on this many rows are 64 KB each
+# and stay in the core's cache; on whole 65,536-row columns they stream
+# through memory.  8192 measured fastest on a core with 2 MiB of L2, 4096
+# about as fast.
+_BLOCK_ROWS = 8192
+
+
+def _by_blocks(kernel, pts: np.ndarray, *args) -> np.ndarray:
+    """``kernel(*pts.T, *args)`` evaluated ``_BLOCK_ROWS`` rows at a time.
+
+    The kernels are elementwise, so the result is bit-identical to one
+    call on the whole array.
+    """
+    out = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], _BLOCK_ROWS):
+        out[start:start + _BLOCK_ROWS] = \
+            kernel(*pts[start:start + _BLOCK_ROWS].T, *args)
+    return out
+
+
 def classical_margin_batch(points: np.ndarray) -> np.ndarray:
     """Vectorized CL margin (cube slack and odd-signed combination slack)."""
-    return _classical(*_as_points(points).T, np)
+    return _by_blocks(_classical, _as_points(points), np)
 
 
-def margin_batch(points: np.ndarray, oracle: Oracle,
-                 tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
+def margin_batch(points: np.ndarray, oracle: Oracle) -> np.ndarray:
     """Vectorized signed margins; the same kernels as :func:`member`."""
-    return _margin_kernel(oracle)(*_as_points(points).T, np)
+    return _by_blocks(_margin_kernel(oracle), _as_points(points), np)

@@ -126,6 +126,17 @@ class TestExtremeFromAngles:
         with pytest.raises(AngleSumViolation):
             AngleTuple(0.5, 0.5, 0.5, 0.5)
 
+    def test_sum_validated_at_given_eps(self):
+        # the sum misses 0 by 1e-7: rejected by default, kept at 1e-6,
+        # also through canonical(), which has to wrap alpha
+        angles = (0.3 + 2.0 * math.pi, 0.4, 0.5, -1.1999999)
+        with pytest.raises(AngleSumViolation):
+            AngleTuple(*angles)
+        t = AngleTuple(*angles, eps=1e-6).canonical()
+        assert t.alpha == pytest.approx(0.3, abs=1e-15)
+        assert t.eps == 1e-6
+        assert t == AngleTuple(*t.as_tuple(), eps=1.0)
+
     def test_g_equals_twice_sine_product_on_extreme_patch(self):
         from qbody import primal_polys
         rng = np.random.default_rng(59)

@@ -129,6 +129,34 @@ class TestRoundTrips:
         assert report["residual_anticommutator"] < 1e-9
 
 
+class TestAngleTolerance:
+    # the sum of these angles misses 0 by 1e-7
+    LOOSE = "[0.3,0.4,0.5,-1.1999999]"
+
+    def test_eps_angle_admits_residual_below_it(self, capsys):
+        code, data = run_cli(capsys, "angles", "--angles", self.LOOSE,
+                             "--eps-angle", "1e-6")
+        assert code == 0
+        assert data == {
+            "point": [math.cos(x) for x in (0.3, 0.4, 0.5, -1.1999999)],
+            "stratum": "Q4"}
+
+    @pytest.mark.parametrize("command", ["expose", "model", "selftest"])
+    def test_eps_angle_reaches_every_angles_input(self, capsys, command):
+        code, _ = run_cli(capsys, command, "--angles", self.LOOSE)
+        assert code == 1
+        code, _ = run_cli(capsys, command, "--angles", self.LOOSE,
+                          "--eps-angle", "1e-6")
+        assert code == 0
+
+    def test_residual_above_eps_angle_rejected(self, capsys):
+        # residual 1e-5
+        code, data = run_cli(capsys, "angles", "--angles",
+                             "[0.3,0.4,0.5,-1.19999]", "--eps-angle", "1e-6")
+        assert code == 1
+        assert data["error"]["kind"] == "AngleSumViolation"
+
+
 class TestFilesAndSeeds:
     def test_sample_csv_out(self, capsys, tmp_path):
         out = tmp_path / "points.csv"

@@ -76,7 +76,38 @@ class TestExactVolume:
         assert abs(EXACT_Q_FRACTION - est.fraction) < 3 * est.stderr
 
 
+def _q5_reference(seed: int, samples: int) -> np.ndarray:
+    """The q5 sampler written as a per-row loop: draw each 65,536-point
+    block from its own stream, keep facet points inside the elliptope and
+    the collar, insert the saturated coordinate with one ``np.insert`` per
+    row, and truncate once enough rows are kept."""
+    rows = []
+    block = 0
+    while len(rows) < samples:
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(block,))))
+        coords = rng.uniform(-1.0, 1.0, size=(65536, 3))
+        facets = rng.integers(0, 8, size=65536)
+        axis = facets // 2
+        sign = np.where(facets % 2 == 0, 1.0, -1.0)
+        x, y, z = coords[:, 0], coords[:, 1], coords[:, 2]
+        cubic = 1.0 - x * x - y * y - z * z + 2.0 * sign * x * y * z
+        keep = (cubic > 1e-6) & (np.abs(coords).max(axis=1) < 1.0 - 1e-6)
+        for c, i, s in zip(coords[keep], axis[keep], sign[keep]):
+            rows.append(np.insert(c, i, s))
+        block += 1
+    return np.array(rows[:samples])
+
+
 class TestSample:
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("samples", [300, 70000])  # one block, two
+    def test_q5_matches_row_loop(self, seed, samples):
+        pts = sample(SampleTarget.Q5_STRATUM,
+                     SamplerConfig(seed=seed, samples=samples))
+        got = np.array([p.as_tuple() for p in pts])
+        assert np.array_equal(got, _q5_reference(seed, samples))
+
     def test_q4_purity(self):
         pts = sample(SampleTarget.Q4_STRATUM, SamplerConfig(seed=3, samples=300))
         assert len(pts) == 300

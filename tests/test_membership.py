@@ -3,16 +3,26 @@ import numpy as np
 import pytest
 
 from qbody import (
+    Body,
     Correlation,
     InputOutsideCube,
     Oracle,
     PushDirection,
+    SamplerConfig,
     chsh_values,
+    mc_volume,
     member,
     member_classical,
     pushout,
 )
-from qbody.membership import classical_margin_batch, margin_batch
+from qbody.core import _Floats
+from qbody.membership import (
+    _BLOCK_ROWS,
+    _MARGINS,
+    _classical,
+    classical_margin_batch,
+    margin_batch,
+)
 
 from helpers import CHSH_POINT, SQRT2, boundary_cl_points, random_symmetry
 
@@ -85,13 +95,29 @@ class TestMember:
 class TestOracleConsistency:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(17)
-        pts = rng.uniform(-1.2, 1.2, size=(500, 4))
+        pts = rng.uniform(-1.2, 1.2, size=(2 * _BLOCK_ROWS + 3, 4))
+        rows = [Correlation.from_sequence(p) for p in pts]
         for oracle in Oracle:
             margins = margin_batch(pts, oracle)
-            for i in range(0, 500, 7):
-                scalar = member(Correlation.from_sequence(pts[i]), oracle)
-                assert margins[i] == pytest.approx(scalar.margin, abs=1e-13)
-                assert (margins[i] >= 0) == scalar.inside
+            verdicts = [member(c, oracle) for c in rows]
+            scalar = np.array([v.margin for v in verdicts])
+            if oracle is Oracle.PUSHOUT:
+                # math.asin and numpy's arcsin differ in the last bit on
+                # some inputs; (2/pi)·asin then moves an inverse coordinate
+                # by at most spacing(1.0), and a half-sum of four of them
+                # by at most twice that
+                assert np.abs(margins - scalar).max() <= 2 * np.spacing(1.0)
+            else:
+                assert margins.tobytes() == scalar.tobytes()
+            assert ((margins >= 0) == [v.inside for v in verdicts]).all()
+        scalar = np.array([member_classical(c).margin for c in rows])
+        assert classical_margin_batch(pts).tobytes() == scalar.tobytes()
+
+    def test_arcsin_differs_by_at_most_one_ulp(self):
+        v = np.random.default_rng(19).uniform(-1.0, 1.0, size=20000)
+        batch = np.arcsin(v)
+        scalar = np.array([_Floats.arcsin(x) for x in v])
+        assert (np.abs(batch - scalar) <= np.spacing(np.abs(scalar))).all()
 
     def test_inclusion_chain(self):
         rng = np.random.default_rng(23)
@@ -119,6 +145,38 @@ class TestOracleConsistency:
         for _ in range(500):
             c = Correlation.from_sequence(rng.uniform(-1, 1, size=4))
             assert member_classical(c).inside == (max(chsh_values(c)) <= 1.0)
+
+
+class TestBlocks:
+    R = _BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [1, R - 1, R, R + 1, 3 * R + 5])
+    def test_margins_match_unblocked_kernel(self, n):
+        pts = np.random.default_rng(n).uniform(-1.2, 1.2, size=(n, 4))
+        for oracle in Oracle:
+            unblocked = _MARGINS[oracle](*pts.T, np)
+            assert margin_batch(pts, oracle).tobytes() == unblocked.tobytes()
+        assert classical_margin_batch(pts).tobytes() \
+            == _classical(*pts.T, np).tobytes()
+
+    def test_mc_volume_matches_unblocked_kernel(self):
+        from qbody.boundary import _facet_cubic
+        from qbody.measures import _BLOCK, _block_rng
+        seed, samples = 5, 100003          # 100003 = 65536 + 4·8192 + 1699
+        unblocked = {
+            Body.Q: lambda p: _MARGINS[Oracle.SEMIALG](*p.T, np),
+            Body.CL: lambda p: _classical(*p.T, np),
+            Body.ELLIPTOPE3: lambda p: _facet_cubic(*p.T, 1.0),
+        }
+        for body, kernel in unblocked.items():
+            dim = 3 if body is Body.ELLIPTOPE3 else 4
+            hits = 0
+            for block, start in enumerate(range(0, samples, _BLOCK)):
+                n = min(_BLOCK, samples - start)
+                pts = _block_rng(seed, block).uniform(-1.0, 1.0, size=(n, dim))
+                hits += int((kernel(pts) >= 0.0).sum())
+            est = mc_volume(body, SamplerConfig(seed=seed, samples=samples))
+            assert est.fraction == hits / samples
 
 
 class TestBoundaryTransport:
