@@ -4,7 +4,8 @@ Points are flat JSON arrays ``[c11, c12, c21, c22]``, functionals
 ``[f11, f12, f21, f22]``, angles ``[alpha, beta, gamma, delta]`` in
 radians.  Output is JSON on stdout (CSV for the tabular subcommands when
 ``--out`` is given).  Exit status: 0 success, 1 domain error (with a
-machine-readable ``{"error": {...}}`` payload), 2 usage error.
+machine-readable ``{"error": {...}}`` payload) or stdout closed before
+the output was written, 2 usage error.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ def _fix_arg(text: str) -> tuple[str, float]:
 
 
 def _add_eps_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eps-boundary", type=float, default=1e-9)
-    parser.add_argument("--eps-angle", type=float, default=1e-9)
-    parser.add_argument("--eps-psd", type=float, default=1e-10)
+    for name, default in vars(core.DEFAULT_TOLERANCE).items():
+        parser.add_argument("--" + name.replace("_", "-"), type=float,
+                            default=default)
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
@@ -109,11 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("support", help="support function of a functional")
     p.add_argument("--functional", type=_functional_arg, required=True,
                    help=_FUNCTIONAL_HELP)
-    _add_eps_flags(p)
 
     p = sub.add_parser("gauge", help="gauge function of a point")
     p.add_argument("--point", type=_point_arg, required=True, help=_POINT_HELP)
-    _add_eps_flags(p)
 
     p = sub.add_parser("dual", help="polar-body membership of a functional")
     p.add_argument("--functional", type=_functional_arg, required=True,
@@ -178,7 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", type=_point_arg, required=True, help=_POINT_HELP)
     p.add_argument("--functional", type=_functional_arg, required=True,
                    help=_FUNCTIONAL_HELP)
-    _add_eps_flags(p)
 
     return parser
 
@@ -208,13 +206,11 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
 
     if cmd == "support":
         f = Functional.from_sequence(args.functional)
-        phi = duality.support(f)
         if max(abs(v) for v in f.as_tuple()) == 0.0:
-            case = "zero"
-        else:
-            case = "quantum" if duality.quantum_case(f).quantum_case \
-                else "classical"
-        return {"phi": phi, "case": case}
+            return {"phi": 0.0, "case": "zero"}
+        verdict = duality.quantum_case(f)
+        return {"phi": verdict.phi,
+                "case": "quantum" if verdict.quantum_case else "classical"}
 
     if cmd == "gauge":
         c = Correlation.from_sequence(args.point)
@@ -341,15 +337,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        result = _run(args)
+        result, status = _run(args), 0
     except QBodyError as exc:
-        payload = {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
-        print(json.dumps(payload))
-        return 1
+        result = {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
+        status = 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    print(json.dumps(result))
-    return 0
+    try:
+        print(json.dumps(result), flush=True)
+    except BrokenPipeError:
+        # the reader is gone; the flush at interpreter exit must not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

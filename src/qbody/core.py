@@ -36,7 +36,8 @@ with the polar analogues ``h°(f) = h(2Hf)/256 = k(f) - p(f)`` and
 the tensor square of the 2x2 one) realising self-duality: ``Q° = ½·H·Q``.
 The common symmetry group of ``Q`` and ``CL`` consists of the 192 signed
 permutation matrices with an even number of minus signs; they are kept as
-exact integer matrices so that group arithmetic is exact.
+one read-only ``(192, 4, 4)`` integer array so that group arithmetic is
+exact.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import permutations, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -447,33 +449,31 @@ def dual_transform(x: Sequence[float],
 # Symmetry group
 # ---------------------------------------------------------------------------
 
-_GROUP_CACHE: list[np.ndarray] | None = None
+def _build_group() -> np.ndarray:
+    mats = np.zeros((192, 4, 4), dtype=np.int64)
+    k = 0
+    for perm in permutations(range(4)):
+        for signs in product((1, -1), repeat=4):
+            if signs[0] * signs[1] * signs[2] * signs[3] == 1:
+                mats[k, range(4), perm] = signs
+                k += 1
+    mats.flags.writeable = False
+    return mats
 
 
-def symmetry_group() -> list[np.ndarray]:
+_GROUP = _build_group()
+
+
+def symmetry_group() -> np.ndarray:
     """All 192 signed 4x4 permutation matrices with an even sign count.
 
     These are exactly the linear maps permuting the even vertices of the
     cube among themselves, hence the common symmetries of ``CL`` and ``Q``.
-    Matrices are integer valued so products and inverses are exact.  The
-    returned list is a fresh shallow copy; the matrices themselves are
-    shared and must not be mutated.
+    The group is one read-only ``(192, 4, 4)`` int64 array, so products and
+    inverses are exact; element ``k`` runs over permutations (outer) and
+    even sign tuples (inner), with ``S[i, perm[i]] = sign[i]``.
     """
-    global _GROUP_CACHE
-    if _GROUP_CACHE is None:
-        from itertools import permutations, product
-        elements = []
-        for perm in permutations(range(4)):
-            for signs in product((1, -1), repeat=4):
-                if signs[0] * signs[1] * signs[2] * signs[3] != 1:
-                    continue
-                mat = np.zeros((4, 4), dtype=np.int64)
-                for i in range(4):
-                    mat[i, perm[i]] = signs[i]
-                elements.append(mat)
-        assert len(elements) == 192
-        _GROUP_CACHE = elements
-    return list(_GROUP_CACHE)
+    return _GROUP
 
 
 def orbit(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE) -> list[Correlation]:
@@ -482,16 +482,13 @@ def orbit(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE) -> list[Correlatio
     Points closer than ``tol.eps_angle`` in max norm are identified.  The
     result is ordered lexicographically for reproducibility.
     """
-    v = c.as_array()
-    images = sorted(tuple(float(t) for t in (S @ v)) for S in symmetry_group())
-    kept: list[tuple[float, ...]] = []
-    for img in images:
-        if kept and max(abs(a - b) for a, b in zip(img, kept[-1])) < tol.eps_angle:
-            continue
-        # lexicographic sort does not guarantee near-duplicates are adjacent
-        # in degenerate cases, so scan all kept representatives
-        if any(max(abs(a - b) for a, b in zip(img, other)) < tol.eps_angle
-               for other in kept):
-            continue
-        kept.append(img)
-    return [Correlation.from_sequence(t) for t in kept]
+    images = _GROUP @ c.as_array()
+    images = images[np.lexsort(images.T[::-1])]
+    # lexicographic order does not make near-duplicates adjacent, so each
+    # kept image drops every later one within the tolerance
+    keep = np.ones(len(images), dtype=bool)
+    for i in range(len(images)):
+        if keep[i]:
+            keep[i + 1:] &= (np.abs(images[i + 1:] - images[i]).max(axis=1)
+                             >= tol.eps_angle)
+    return [Correlation(*t) for t in images[keep].tolist()]

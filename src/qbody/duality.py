@@ -95,6 +95,11 @@ class CaseVerdict:
     phi_classical: float
     phi_quantum: float | None
 
+    @property
+    def phi(self) -> float:
+        """The support value: the branch's maximum of ``f·c`` over ``Q``."""
+        return self.phi_quantum if self.quantum_case else self.phi_classical
+
 
 def quantum_case(f: Functional) -> CaseVerdict:
     """Decide whether ``f`` is maximized at a nonclassical exposed point.
@@ -161,10 +166,7 @@ def support(f: Functional) -> float:
     """Maximum of ``f·c`` over ``Q`` (positively homogeneous, support(0)=0)."""
     if max(abs(v) for v in f.as_tuple()) == 0.0:
         return 0.0
-    verdict = quantum_case(f)
-    if verdict.quantum_case:
-        return float(verdict.phi_quantum)
-    return verdict.phi_classical
+    return quantum_case(f).phi
 
 
 def gauge(c: Correlation) -> float:

@@ -30,9 +30,9 @@ from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .core import Correlation, InvalidSlice, Tolerance, DEFAULT_TOLERANCE
-from .membership import (Oracle, _by_blocks, classical_margin_batch,
-                         margin_batch, member_classical)
+from .core import (Correlation, InvalidSlice, Tolerance, DEFAULT_TOLERANCE,
+                   primal_polys, symmetry_group)
+from .membership import Oracle, _by_blocks, classical_margin_batch, margin_batch
 from .boundary import _facet_cubic, classify
 
 __all__ = [
@@ -166,7 +166,6 @@ def _accept_q_interior(rng: np.random.Generator) -> np.ndarray:
 
 
 def _accept_q4(rng: np.random.Generator) -> np.ndarray:
-    from .core import symmetry_group
     angles = rng.uniform(0.0, math.pi, size=(_BLOCK, 3))
     total = angles.sum(axis=1)
     lo, hi = _ANGLE_COLLAR, math.pi - _ANGLE_COLLAR
@@ -179,8 +178,7 @@ def _accept_q4(rng: np.random.Generator) -> np.ndarray:
     pts[:, 3] = np.cos(total)  # cos(delta) with delta = -(alpha+beta+gamma)
     group = symmetry_group()
     idx = rng.integers(0, len(group), size=pts.shape[0])
-    return np.stack([group[i] @ q for i, q in zip(idx, pts)], axis=0) \
-        if pts.shape[0] else pts
+    return np.einsum("nij,nj->ni", group[idx], pts)
 
 
 def _accept_q5(rng: np.random.Generator) -> np.ndarray:
@@ -232,16 +230,15 @@ class SliceSpec:
     Exactly one of ``fixed`` (coordinate name to value) or ``normal`` (a
     4-vector, with ``offset``) must be given.  For a hyperplane the free
     axes are the three coordinates other than the largest normal
-    component, which is solved for.  ``resolution`` is one integer per
-    free axis (a single integer applies to all); ``box`` optionally
-    overrides the default [-1, 1] range per free axis.
+    component, which is solved for.  Every free axis spans [-1, 1];
+    ``resolution`` is its number of grid nodes, one integer per free axis
+    (a single integer applies to all).
     """
 
     fixed: Mapping[str, float] | None = None
     normal: Sequence[float] | None = None
     offset: float = 0.0
     resolution: int | Sequence[int] = 50
-    box: Sequence[tuple[float, float]] | None = None
 
     def free_axes(self) -> list[str]:
         if (self.fixed is None) == (self.normal is None):
@@ -273,17 +270,6 @@ class SliceSpec:
             raise InvalidSlice("resolution must be at least 2 per axis")
         return res
 
-    def boxes(self) -> list[tuple[float, float]]:
-        free = self.free_axes()
-        if self.box is None:
-            return [(-1.0, 1.0)] * len(free)
-        boxes = [(float(lo), float(hi)) for lo, hi in self.box]
-        if len(boxes) != len(free):
-            raise InvalidSlice(f"{len(boxes)} boxes for {len(free)} free axes")
-        if any(lo >= hi for lo, hi in boxes):
-            raise InvalidSlice("box bounds must satisfy lo < hi")
-        return boxes
-
 
 @dataclass(frozen=True)
 class SliceTable:
@@ -305,22 +291,6 @@ class SliceTable:
             stream.write(",".join(parts) + "\n")
 
 
-def _point_from_node(spec: SliceSpec, free: list[str],
-                     node: tuple[float, ...]) -> Correlation:
-    values = dict(zip(free, node))
-    if spec.fixed is not None:
-        values.update(spec.fixed)
-        return Correlation(*(float(values[a]) for a in AXES))
-    normal = [float(v) for v in spec.normal]
-    dependent = max(range(4), key=lambda i: abs(normal[i]))
-    acc = spec.offset
-    for i, axis in enumerate(AXES):
-        if i != dependent:
-            acc -= normal[i] * values[axis]
-    values[AXES[dependent]] = acc / normal[dependent]
-    return Correlation(*(float(values[a]) for a in AXES))
-
-
 def slice_grid(spec: SliceSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> SliceTable:
     """Label every grid node with stratum, classical bit, g, and h.
 
@@ -330,21 +300,29 @@ def slice_grid(spec: SliceSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> SliceTabl
     the cube); completion-rank cross-checks are skipped here for
     throughput, being covered by the classification tests.
     """
-    from itertools import product as iter_product
-    from .core import primal_polys
-
     free = spec.free_axes()
-    res = spec.resolutions()
-    boxes = spec.boxes()
-    grids = [np.linspace(lo, hi, n) for (lo, hi), n in zip(boxes, res)]
+    at_free = [AXES.index(axis) for axis in free]
+    grids = np.meshgrid(*(np.linspace(-1.0, 1.0, n) for n in spec.resolutions()),
+                        indexing="ij")
+    nodes = np.empty((grids[0].size, 4))
+    nodes[:, at_free] = np.stack([grid.ravel() for grid in grids], axis=1)
+    if spec.fixed is not None:
+        for axis, value in spec.fixed.items():
+            nodes[:, AXES.index(axis)] = float(value)
+    else:
+        (dependent,) = set(range(4)) - set(at_free)
+        acc = spec.offset
+        for i in at_free:
+            acc = acc - float(spec.normal[i]) * nodes[:, i]
+        nodes[:, dependent] = acc / float(spec.normal[dependent])
+    classical = classical_margin_batch(nodes) >= 0.0
 
     rows = []
-    for node in iter_product(*grids):
-        c = _point_from_node(spec, free, node)
+    for point, inside in zip(nodes.tolist(), classical.tolist()):
+        c = Correlation(*point)
         stratum = classify(c, tol, check_rank=False)
-        classical = int(member_classical(c).inside)
         polys = primal_polys(c)
-        rows.append(tuple(float(v) for v in node)
-                    + (stratum.value, classical, polys.g, polys.h))
-    columns = tuple(free) + ("stratum", "classical", "g", "h")
-    return SliceTable(columns=columns, rows=rows)
+        rows.append(tuple(point[i] for i in at_free)
+                    + (stratum.value, int(inside), polys.g, polys.h))
+    return SliceTable(columns=tuple(free) + ("stratum", "classical", "g", "h"),
+                      rows=rows)

@@ -6,6 +6,7 @@ collar sizes are test choices, not library tolerances.
 """
 
 import math
+from itertools import permutations, product
 
 import numpy as np
 
@@ -48,6 +49,20 @@ def tetra_angles(rng: np.random.Generator, n: int, collar: float = 0.05,
                 continue
         out.append(t)
     return out
+
+
+def group_matrices() -> list[np.ndarray]:
+    """The 192 even signed permutation matrices, one at a time:
+    permutations outer, even sign tuples inner, ``S[i, perm[i]] = sign[i]``."""
+    elements = []
+    for perm in permutations(range(4)):
+        for signs in product((1, -1), repeat=4):
+            if signs[0] * signs[1] * signs[2] * signs[3] == 1:
+                mat = np.zeros((4, 4), dtype=np.int64)
+                for i in range(4):
+                    mat[i, perm[i]] = signs[i]
+                elements.append(mat)
+    return elements
 
 
 def random_symmetry(rng: np.random.Generator) -> np.ndarray:

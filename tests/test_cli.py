@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qbody
 from qbody.cli import main
 
 from helpers import SQRT2
@@ -220,6 +224,30 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["member", "--point", "[0,0,0,0]", "--bogus", "1"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["support", "--functional", "[0.5,0.5,0.5,-0.5]"],
+        ["gauge", "--point", "[0.3,0.2,-0.7,0.1]"],
+        ["ncycle", "--point", CHSH_JSON, "--functional", "[0.5,0.5,0.5,-0.5]"],
+    ])
+    def test_eps_flags_rejected_where_nothing_reads_them(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--eps-angle", "0.5"])
+        assert info.value.code == 2
+
+    def test_closed_stdout_exits_without_traceback(self):
+        src = os.path.dirname(os.path.dirname(qbody.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "qbody.cli", "model",
+             "--angles", "[0.3,0.4,0.5,-1.2]"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child.stdout.close()  # the reader is gone before the child writes
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
     def test_unknown_subcommand_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:

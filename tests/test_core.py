@@ -17,7 +17,8 @@ from qbody import (
 )
 from qbody.core import HADAMARD, TWO_H, _g, _h, _h_squared
 
-from helpers import CHSH_POINT, EVEN_VERTEX_TUPLES, SQRT2
+from helpers import (CHSH_POINT, EVEN_VERTEX_TUPLES, SQRT2, group_matrices,
+                     q2_point)
 
 
 class TestPrimalPolys:
@@ -118,7 +119,28 @@ class TestDualTransform:
         assert np.array_equal(TWO_H @ TWO_H, 4 * np.eye(4, dtype=np.int64))
 
 
+def _orbit_reference(c: Correlation, eps_angle: float = 1e-9) -> list[tuple]:
+    """Images ``S @ c`` one matrix at a time, sorted as tuples, each kept
+    unless it lies within ``eps_angle`` in max norm of any kept image."""
+    v = c.as_array()
+    images = sorted(tuple(float(t) for t in (S @ v))
+                    for S in group_matrices())
+    kept = []
+    for img in images:
+        if not any(max(abs(a - b) for a, b in zip(img, other)) < eps_angle
+                   for other in kept):
+            kept.append(img)
+    return kept
+
+
 class TestSymmetryGroup:
+    def test_one_read_only_array_in_reference_order(self):
+        group = symmetry_group()
+        assert group.shape == (192, 4, 4) and group.dtype == np.int64
+        assert np.array_equal(group, np.array(group_matrices()))
+        with pytest.raises(ValueError):
+            group[0, 0, 0] = 2
+
     def test_size_and_members(self):
         group = symmetry_group()
         assert len(group) == 192
@@ -170,6 +192,27 @@ class TestOrbit:
             signs = [1 if v > 0 else -1 for v in p.as_tuple()]
             assert signs[0] * signs[1] * signs[2] * signs[3] == -1
             assert np.allclose(np.abs(p.as_array()), 1 / SQRT2, atol=1e-15)
+
+    @pytest.mark.parametrize("eps_angle", [1e-9, 0.15])
+    def test_matches_all_kept_scan(self, eps_angle):
+        rng = np.random.default_rng(17)
+        points = [Correlation.from_sequence(rng.uniform(-1, 1, size=4))
+                  for _ in range(12)]
+        points += [
+            Correlation(0, 0, 0, 0),
+            Correlation(-0.0, 0.0, -0.0, 0.0),
+            Correlation(1, 1, 1, 1),
+            q2_point(rng),
+            CHSH_POINT,
+            # coordinates closer than the default eps_angle
+            Correlation(0.3, 0.3 + 4e-10, -0.3 - 2e-10, 1e-10),
+            Correlation(-0.0, 0.5, 0.5 - 5e-10, 5e-10),
+        ]
+        tol = Tolerance(eps_boundary=max(eps_angle, 1e-9), eps_angle=eps_angle)
+        for c in points:
+            got = [p.as_tuple() for p in orbit(c, tol)]
+            # repr tells signed zeros apart
+            assert repr(got) == repr(_orbit_reference(c, eps_angle))
 
     def test_vertex_orbit_is_even_vertices(self):
         points = orbit(Correlation(1, 1, 1, 1))

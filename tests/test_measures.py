@@ -1,22 +1,26 @@
 import io
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from qbody import (
     Body,
+    Correlation,
     InvalidSlice,
     Oracle,
     SampleTarget,
     SamplerConfig,
     SliceSpec,
+    SliceTable,
     Stratum,
     classify,
     exact_volume_ratio,
     mc_volume,
     member,
     member_classical,
+    primal_polys,
     sample,
     slice_grid,
 )
@@ -26,6 +30,8 @@ from qbody.measures import (
     EXACT_ELLIPTOPE_FRACTION,
     EXACT_Q_FRACTION,
 )
+
+from helpers import group_matrices
 
 
 class TestMcVolume:
@@ -99,7 +105,39 @@ def _q5_reference(seed: int, samples: int) -> np.ndarray:
     return np.array(rows[:samples])
 
 
+def _q4_reference(seed: int, samples: int) -> np.ndarray:
+    """The q4 sampler with its group step written as a per-point loop:
+    each 65,536-point block draws angles from its own stream, keeps the
+    collared tetrahedron and maps it through cosines; each point is then
+    moved by one group matrix at a time, ``group[i] @ q``.  Truncates once
+    enough rows are kept."""
+    group = group_matrices()
+    rows = []
+    block = 0
+    while len(rows) < samples:
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(block,))))
+        angles = rng.uniform(0.0, math.pi, size=(65536, 3))
+        total = angles.sum(axis=1)
+        lo, hi = 1e-2, math.pi - 1e-2
+        keep = ((angles > lo).all(axis=1) & (angles < hi).all(axis=1)
+                & (total > lo) & (total < hi))
+        pts = np.cos(np.column_stack([angles[keep], total[keep]]))
+        idx = rng.integers(0, len(group), size=len(pts))
+        rows.extend(group[i] @ q for i, q in zip(idx, pts))
+        block += 1
+    return np.array(rows[:samples])
+
+
 class TestSample:
+    @pytest.mark.parametrize("seed", [4, 11])
+    @pytest.mark.parametrize("samples", [300, 25000])  # one block, three
+    def test_q4_matches_point_loop(self, seed, samples):
+        pts = sample(SampleTarget.Q4_STRATUM,
+                     SamplerConfig(seed=seed, samples=samples))
+        got = np.array([p.as_tuple() for p in pts])
+        assert got.tobytes() == _q4_reference(seed, samples).tobytes()
+
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("samples", [300, 70000])  # one block, two
     def test_q5_matches_row_loop(self, seed, samples):
@@ -133,7 +171,53 @@ class TestSample:
         assert all(max(abs(v) for v in p.as_tuple()) <= 1 for p in a)
 
 
+def _slice_reference(spec: SliceSpec) -> SliceTable:
+    """Slice rows built node by node: ``itertools.product`` over the free
+    axes' grids, each node completed to a point by fixed values or by the
+    hyperplane (subtractions in coordinate order), then labelled with
+    scalar calls."""
+    axes = ("c11", "c12", "c21", "c22")
+    free = spec.free_axes()
+    grids = [np.linspace(-1.0, 1.0, n) for n in spec.resolutions()]
+    rows = []
+    for node in product(*grids):
+        values = dict(zip(free, node))
+        if spec.fixed is not None:
+            values.update(spec.fixed)
+        else:
+            normal = [float(v) for v in spec.normal]
+            dependent = max(range(4), key=lambda i: abs(normal[i]))
+            acc = spec.offset
+            for i, axis in enumerate(axes):
+                if i != dependent:
+                    acc -= normal[i] * values[axis]
+            values[axes[dependent]] = acc / normal[dependent]
+        c = Correlation(*(float(values[a]) for a in axes))
+        polys = primal_polys(c)
+        rows.append(tuple(float(v) for v in node)
+                    + (classify(c, check_rank=False).value,
+                       int(member_classical(c).inside), polys.g, polys.h))
+    return SliceTable(columns=tuple(free) + ("stratum", "classical", "g", "h"),
+                      rows=rows)
+
+
+def _csv(table: SliceTable) -> str:
+    buffer = io.StringIO()
+    table.write_csv(buffer)
+    return buffer.getvalue()
+
+
 class TestSliceGrid:
+    @pytest.mark.parametrize("spec", [
+        SliceSpec(fixed={"c11": 1.0}, resolution=12),
+        SliceSpec(fixed={"c11": 0.0, "c12": 0.5}, resolution=(7, 9)),
+        # |n_i| = 1 on every axis: the first of the tied axes is solved for
+        SliceSpec(normal=(1.0, 1.0, 1.0, -1.0), offset=2.0, resolution=12),
+        SliceSpec(normal=(0.3, -2.0, 0.7, 1.1), offset=-0.4, resolution=12),
+    ])
+    def test_matches_node_loop(self, spec):
+        assert _csv(slice_grid(spec)) == _csv(_slice_reference(spec))
+
     def test_facet_slice_is_elliptope_mask(self):
         table = slice_grid(SliceSpec(fixed={"c11": 1.0}, resolution=50))
         assert table.columns == ("c12", "c21", "c22", "stratum",
