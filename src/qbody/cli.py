@@ -11,6 +11,7 @@ the output was written, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,20 +38,9 @@ def _vector(text: str, what: str) -> list[float]:
     return [float(v) for v in data]
 
 
-def _point_arg(text: str) -> list[float]:
-    return _vector(text, "--point")
-
-
-def _functional_arg(text: str) -> list[float]:
-    return _vector(text, "--functional")
-
-
-def _angles_arg(text: str) -> list[float]:
-    return _vector(text, "--angles")
-
-
-def _normal_arg(text: str) -> list[float]:
-    return _vector(text, "--normal")
+_point_arg, _functional_arg, _angles_arg, _normal_arg = (
+    functools.partial(_vector, what=flag)
+    for flag in ("--point", "--functional", "--angles", "--normal"))
 
 
 def _fix_arg(text: str) -> tuple[str, float]:
@@ -67,14 +57,14 @@ def _fix_arg(text: str) -> tuple[str, float]:
 
 
 def _add_eps_flags(parser: argparse.ArgumentParser) -> None:
-    for name, default in vars(core.DEFAULT_TOLERANCE).items():
-        parser.add_argument("--" + name.replace("_", "-"), type=float,
-                            default=default)
+    # a flag left out stays None, so a branch can tell whether it was given
+    for name in vars(core.DEFAULT_TOLERANCE):
+        parser.add_argument("--" + name.replace("_", "-"), type=float)
 
 
-def _tolerance(args: argparse.Namespace) -> Tolerance:
-    return Tolerance(eps_boundary=args.eps_boundary,
-                     eps_angle=args.eps_angle, eps_psd=args.eps_psd)
+def _eps_given(args: argparse.Namespace) -> dict[str, float]:
+    return {name: value for name, value in vars(args).items()
+            if name.startswith("eps_") and value is not None}
 
 
 def _default_seed() -> int:
@@ -191,17 +181,17 @@ def _verdict_dict(v: membership.MembershipVerdict) -> dict:
 
 def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
     cmd = args.command
+    tol = Tolerance(**_eps_given(args))
 
     if cmd == "member":
         c = Correlation.from_sequence(args.point)
-        tol = _tolerance(args)
         names = sorted(_ORACLES) if args.oracle == "all" else [args.oracle]
         return {name: _verdict_dict(membership.member(c, _ORACLES[name], tol))
                 for name in names}
 
     if cmd == "classify":
         c = Correlation.from_sequence(args.point)
-        stratum = boundary.classify(c, _tolerance(args))
+        stratum = boundary.classify(c, tol)
         return {"stratum": stratum.value}
 
     if cmd == "support":
@@ -218,12 +208,11 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
 
     if cmd == "dual":
         f = Functional.from_sequence(args.functional)
-        tol = _tolerance(args)
         verdict = duality.dual_member(f, tol=tol)
         completion = duality.dual_completion(f, tol)
         return {
             "member": _verdict_dict(verdict),
-            "support": duality.support(f),
+            "support": completion.support,
             "completion": {
                 "feasible": completion.feasible,
                 "p": [completion.witness.p1, completion.witness.p2,
@@ -233,7 +222,7 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
 
     if cmd == "complete":
         c = Correlation.from_sequence(args.point)
-        result = boundary.solve_completion(c, _tolerance(args))
+        result = boundary.solve_completion(c, tol)
         return {
             "feasible": result.feasible,
             "u": result.witness.u,
@@ -243,7 +232,6 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         }
 
     if cmd == "angles":
-        tol = _tolerance(args)
         if args.point is not None:
             t = boundary.angles_from_point(
                 Correlation.from_sequence(args.point), tol)
@@ -253,7 +241,6 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         return {"point": list(ext.c.as_tuple()), "stratum": ext.stratum.value}
 
     if cmd == "expose":
-        tol = _tolerance(args)
         if args.angles is not None:
             t = boundary.AngleTuple(*args.angles, eps=tol.eps_angle)
         else:
@@ -263,8 +250,7 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         return {"functional": list(f.as_tuple())}
 
     if cmd == "model":
-        t = boundary.AngleTuple(*args.angles,
-                                eps=_tolerance(args).eps_angle)
+        t = boundary.AngleTuple(*args.angles, eps=tol.eps_angle)
         model = quantum.build_model(t)
         payload = model.to_json_dict()
         payload["correlations"] = list(quantum.correlations_of(model).as_tuple())
@@ -273,7 +259,10 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
     if cmd == "selftest":
         if args.angles is not None:
             model = quantum.build_model(boundary.AngleTuple(
-                *args.angles, eps=_tolerance(args).eps_angle))
+                *args.angles, eps=tol.eps_angle))
+        elif _eps_given(args):
+            raise ValueError("--eps-* flags apply to --angles only; "
+                             "--model takes no tolerance")
         else:
             with open(args.model, encoding="utf-8") as fh:
                 model = quantum.QuantumModel.from_json_dict(json.load(fh))
@@ -309,7 +298,7 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         fixed = dict(args.fix) if args.fix else None
         spec = measures.SliceSpec(fixed=fixed, normal=args.normal,
                                   offset=args.offset, resolution=args.grid)
-        table = measures.slice_grid(spec, _tolerance(args))
+        table = measures.slice_grid(spec, tol)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 table.write_csv(fh)
@@ -319,7 +308,7 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
 
     if cmd == "orbit":
         c = Correlation.from_sequence(args.point)
-        points = core.orbit(c, _tolerance(args))
+        points = core.orbit(c, tol)
         return {"size": len(points),
                 "orbit": [list(p.as_tuple()) for p in points]}
 

@@ -29,9 +29,13 @@ The dual matrix completion certificate for ``f ∈ Q°`` is
         [ -f11  -f21  p3    0   ]      p1 + p2 = p3 + p4 = 1,
         [ -f12  -f22  0     p4  ]
 
-searched for positive semidefiniteness over the balanced parameters
-``(p1, p3) ∈ (0,1)²`` (the minimum eigenvalue is concave in them).  For
-incident primal/dual certificates, ``tr(C·F) = 2 - 2·f·c``.
+built in closed form by complementary slackness: with ``s = support(f)``
+attained at ``c* ∈ Q``, ``F·M* = 0`` for the completion ``M*`` of ``c*``
+fixes ``p1 = f11·c11* + f12·c12* + (1-s)/2`` and
+``p3 = f11·c11* + f21·c21* + (1-s)/2``.  Then ``λmin(F) = (1-s)/2``, the
+largest any balanced diagonal reaches, so ``F`` is PSD iff ``f ∈ Q°``;
+for ``f`` outside, ``λmin < 0`` measures the violation.  For incident
+primal/dual certificates, ``tr(C·F) = 2 - 2·f·c``.
 
 The incidence set {(c, f) : c on the boundary, f exposing, f·c = 1}
 restricted to exposed-extreme pairs is cut out by 17 polynomial
@@ -43,6 +47,7 @@ duality-transformed copies to a fixed 20-slot layout, see
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +66,11 @@ from .core import (
     dual_transform,
     _h,
     _h_polar,
+    _k,
     _q,
 )
 from .membership import MembershipVerdict, Oracle, member
-from .boundary import (AngleTuple, _Certificate, _psd_threshold,
-                       exposing_functional)
+from .boundary import AngleTuple, _Certificate, exposing_functional
 
 __all__ = [
     "CaseVerdict",
@@ -87,13 +92,16 @@ class CaseVerdict:
     """Which branch of the support function applies to a functional.
 
     ``m_value`` is defined only when ``p(f) < 0`` (all entries nonzero),
-    ``phi_quantum`` only on the nonclassical branch.
+    ``phi_quantum`` only on the nonclassical branch.  ``vertex`` is the
+    even cube vertex maximizing ``f·c``, where ``f`` attains
+    ``phi_classical``.
     """
 
     quantum_case: bool
     m_value: float | None
     phi_classical: float
     phi_quantum: float | None
+    vertex: tuple[float, float, float, float]
 
     @property
     def phi(self) -> float:
@@ -117,10 +125,10 @@ def quantum_case(f: Functional) -> CaseVerdict:
     p = polys.p
 
     # criterion A: p < 0 and m > 2 (m needs all entries nonzero, which
-    # p < 0 guarantees)
+    # p < 0 guarantees; each ratio is at most 1, so none overflows)
     if p < 0.0:
-        m_value = min(abs(v) for v in entries) \
-            * sum(1.0 / abs(v) for v in entries)
+        smallest = min(abs(v) for v in entries)
+        m_value = sum(smallest / abs(v) for v in entries)
         margin_a = min(-p, m_value - 2.0)
     else:
         m_value = None
@@ -139,8 +147,9 @@ def quantum_case(f: Functional) -> CaseVerdict:
     # maximizer at (1,1,1,1), the elementary symmetric cubic is negative
     y = TWO_H @ f.as_array()
     kstar = int(np.argmax(np.abs(y)))
-    vertex = TWO_H[:, kstar] * (1 if y[kstar] >= 0 else -1)
-    fp = [float(s) * v for s, v in zip(vertex, entries)]
+    vertex = tuple(float(s) for s in
+                   TWO_H[:, kstar] * (1 if y[kstar] >= 0 else -1))
+    fp = [s * v for s, v in zip(vertex, entries)]
     cubic = (fp[0] * fp[1] * fp[2] + fp[0] * fp[1] * fp[3]
              + fp[0] * fp[2] * fp[3] + fp[1] * fp[2] * fp[3])
     margin_c = -cubic
@@ -155,11 +164,23 @@ def quantum_case(f: Functional) -> CaseVerdict:
 
     phi_c = float(np.abs(y).max())
     if verdict_a:
-        phi_q = math.sqrt(polys.k / p)
+        k = polys.k
+        if min(abs(k), -p) < sys.float_info.min:
+            # k or p underflowed: take their ratio in exact arithmetic
+            exact = _exact(entries)
+            k, p = _k(*exact), math.prod(exact)
+        phi_q = math.sqrt(k / p)
     else:
         phi_q = None
     return CaseVerdict(quantum_case=verdict_a, m_value=m_value,
-                       phi_classical=phi_c, phi_quantum=phi_q)
+                       phi_classical=phi_c, phi_quantum=phi_q, vertex=vertex)
+
+
+def _exact(entries) -> list:
+    """The entries as Fractions, for products that underflow in floats
+    (imported here: fractions pulls in decimal, which nothing else needs)."""
+    from fractions import Fraction
+    return [Fraction(v) for v in entries]
 
 
 def support(f: Functional) -> float:
@@ -229,62 +250,52 @@ class DualCompletion(_Certificate):
 
 @dataclass(frozen=True)
 class DualCompletionResult:
+    """The certificate together with ``support(f)`` and a maximizer ``c*``."""
+
     feasible: bool
     witness: DualCompletion
+    support: float
+    maximizer: Correlation
 
 
-_GRID = 64
-_REFINEMENTS = 40
-
-
-def _dual_min_eig_grid(f_arr: np.ndarray, p1: np.ndarray,
-                       p3: np.ndarray) -> np.ndarray:
-    """Batched minimum eigenvalue of F over arrays of (p1, p3)."""
-    n = p1.shape[0]
-    mats = np.zeros((n, 4, 4))
-    mats[:, 0, 0] = p1
-    mats[:, 1, 1] = 1.0 - p1
-    mats[:, 2, 2] = p3
-    mats[:, 3, 3] = 1.0 - p3
-    mats[:, 0, 2] = mats[:, 2, 0] = -f_arr[0]
-    mats[:, 0, 3] = mats[:, 3, 0] = -f_arr[1]
-    mats[:, 1, 2] = mats[:, 2, 1] = -f_arr[2]
-    mats[:, 1, 3] = mats[:, 3, 1] = -f_arr[3]
-    return np.linalg.eigvalsh(mats)[:, 0]
+def _quantum_maximizer(f: tuple) -> tuple[float, ...]:
+    """``c* = ∇ sqrt(k/p) = (∇k - s²·∇p) / (2·s·p)`` on the nonclassical
+    branch, with ``k = A·B·C`` and ``∂p/∂f_i`` the product of the other
+    three entries.  Where ``k`` or ``p`` underflows, in exact arithmetic."""
+    f11, f12, f21, f22 = f
+    a = f11 * f22 - f12 * f21
+    b = f11 * f12 - f21 * f22
+    c = f11 * f21 - f12 * f22
+    k, p = a * b * c, f11 * f12 * f21 * f22
+    if isinstance(p, float) and min(abs(k), abs(p)) < sys.float_info.min:
+        return _quantum_maximizer(_exact(f))
+    dk = (f22 * b * c + f12 * a * c + f21 * a * b,
+          -f21 * b * c + f11 * a * c - f22 * a * b,
+          -f12 * b * c - f22 * a * c + f11 * a * b,
+          f11 * b * c - f21 * a * c - f12 * a * b)
+    dp = (f12 * f21 * f22, f11 * f21 * f22, f11 * f12 * f22, f11 * f12 * f21)
+    s2 = k / p
+    return tuple(float((dki - s2 * dpi) / (2 * p)) / math.sqrt(s2)
+                 for dki, dpi in zip(dk, dp))
 
 
 def dual_completion(f: Functional,
                     tol: Tolerance = DEFAULT_TOLERANCE) -> DualCompletionResult:
-    """Search for a PSD dual certificate with ``p1+p2 = p3+p4 = 1``.
-
-    The minimum eigenvalue is concave in ``(p1, p3)``, so a coarse 64x64
-    grid followed by 40 local halving refinements finds its maximizer; the
-    certificate is feasible iff that maximum clears the PSD threshold.
-    """
-    f_arr = f.as_array()
-
-    grid = (np.arange(_GRID) + 0.5) / _GRID
-    p1g, p3g = np.meshgrid(grid, grid, indexing="ij")
-    flat1, flat3 = p1g.ravel(), p3g.ravel()
-    vals = _dual_min_eig_grid(f_arr, flat1, flat3)
-    best = int(np.argmax(vals))
-    p1_best, p3_best, val_best = flat1[best], flat3[best], vals[best]
-
-    step = 1.0 / _GRID
-    offsets = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
-    for _ in range(_REFINEMENTS):
-        cand1 = np.clip(p1_best + offsets[:, 0] * step, 1e-12, 1.0 - 1e-12)
-        cand3 = np.clip(p3_best + offsets[:, 1] * step, 1e-12, 1.0 - 1e-12)
-        vals = _dual_min_eig_grid(f_arr, cand1, cand3)
-        idx = int(np.argmax(vals))
-        if vals[idx] > val_best:
-            p1_best, p3_best, val_best = cand1[idx], cand3[idx], vals[idx]
-        step *= 0.5
-
-    witness = DualCompletion(f=f, p1=float(p1_best), p2=float(1.0 - p1_best),
-                             p3=float(p3_best), p4=float(1.0 - p3_best))
-    feasible = bool(val_best >= -_psd_threshold(witness.matrix(), tol))
-    return DualCompletionResult(feasible=feasible, witness=witness)
+    """The dual certificate that complementary slackness forces at the
+    maximizer ``c*`` of ``f`` (see the module docstring); ``c*`` is the
+    even vertex on the classical branch, ``∇ sqrt(k/p)`` otherwise."""
+    entries = f.as_tuple()
+    s, c_star = 0.0, (0.0, 0.0, 0.0, 0.0)  # zero functional: s = 0 at 0
+    if max(abs(v) for v in entries) > 0.0:
+        verdict = quantum_case(f)
+        s = verdict.phi
+        c_star = _quantum_maximizer(entries) if verdict.quantum_case \
+            else verdict.vertex
+    p1 = entries[0] * c_star[0] + entries[1] * c_star[1] + 0.5 * (1.0 - s)
+    p3 = entries[0] * c_star[0] + entries[2] * c_star[2] + 0.5 * (1.0 - s)
+    witness = DualCompletion(f=f, p1=p1, p2=1.0 - p1, p3=p3, p4=1.0 - p3)
+    return DualCompletionResult(feasible=witness.is_psd(tol), witness=witness,
+                                support=s, maximizer=Correlation(*c_star))
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +325,9 @@ def phi_map(t: AngleTuple, tol: Tolerance = DEFAULT_TOLERANCE) -> AngleTuple:
     if max(abs(v) for v in image) > 1.0 + 1e-9:
         raise ConsistencyError(f"dual image {image!r} left the cube")
     clamped = [min(1.0, max(-1.0, v)) for v in image]
-    a2 = math.acos(clamped[0])
-    b2 = math.acos(clamped[1])
-    g2 = math.acos(clamped[2])
+    a2, b2, g2, d2 = (math.acos(v) for v in clamped)
     total = a2 + b2 + g2
-    if abs(total - math.acos(clamped[3])) > 1e-8 or not total < math.pi:
+    if abs(total - d2) > 1e-8 or not total < math.pi:
         raise ConsistencyError("arccos branches do not close up inside T")
     return AngleTuple(a2, b2, g2, -total)
 

@@ -1,4 +1,4 @@
-"""Shared samplers and constants for the test suite.
+"""Shared samplers, constants and reference solvers for the test suite.
 
 All samplers take an explicit numpy Generator so every test pins its own
 seed.  Stratum samplers keep a collar away from neighbouring strata; the
@@ -11,13 +11,18 @@ from itertools import permutations, product
 import numpy as np
 
 from qbody import (
+    DEFAULT_TOLERANCE,
     AngleTuple,
     Correlation,
+    DualCompletion,
+    Functional,
     Oracle,
+    Tolerance,
     extreme_from_angles,
     member,
     symmetry_group,
 )
+from qbody.boundary import _psd_threshold
 
 SQRT2 = math.sqrt(2.0)
 CHSH_POINT = Correlation(1 / SQRT2, 1 / SQRT2, 1 / SQRT2, -1 / SQRT2)
@@ -135,3 +140,57 @@ def boundary_cl_points(rng: np.random.Generator, n: int) -> list[Correlation]:
         point = w @ verts
         out.append(Correlation.from_sequence(random_symmetry(rng) @ point))
     return out
+
+
+_GRID = 64
+_REFINEMENTS = 40
+
+
+def _dual_min_eig_grid(f_arr: np.ndarray, p1: np.ndarray,
+                       p3: np.ndarray) -> np.ndarray:
+    """Batched minimum eigenvalue of F over arrays of (p1, p3)."""
+    n = p1.shape[0]
+    mats = np.zeros((n, 4, 4))
+    mats[:, 0, 0] = p1
+    mats[:, 1, 1] = 1.0 - p1
+    mats[:, 2, 2] = p3
+    mats[:, 3, 3] = 1.0 - p3
+    mats[:, 0, 2] = mats[:, 2, 0] = -f_arr[0]
+    mats[:, 0, 3] = mats[:, 3, 0] = -f_arr[1]
+    mats[:, 1, 2] = mats[:, 2, 1] = -f_arr[2]
+    mats[:, 1, 3] = mats[:, 3, 1] = -f_arr[3]
+    return np.linalg.eigvalsh(mats)[:, 0]
+
+
+def dual_completion_grid(f: Functional, tol: Tolerance = DEFAULT_TOLERANCE
+                         ) -> tuple[bool, DualCompletion, float]:
+    """Reference dual certificate by search: ``(feasible, witness, λmin)``.
+
+    The minimum eigenvalue is concave in ``(p1, p3)``, so a coarse 64x64
+    grid followed by 40 local halving refinements finds its maximizer; the
+    certificate is feasible iff that maximum clears the PSD threshold.
+    """
+    f_arr = f.as_array()
+
+    grid = (np.arange(_GRID) + 0.5) / _GRID
+    p1g, p3g = np.meshgrid(grid, grid, indexing="ij")
+    flat1, flat3 = p1g.ravel(), p3g.ravel()
+    vals = _dual_min_eig_grid(f_arr, flat1, flat3)
+    best = int(np.argmax(vals))
+    p1_best, p3_best, val_best = flat1[best], flat3[best], vals[best]
+
+    step = 1.0 / _GRID
+    offsets = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+    for _ in range(_REFINEMENTS):
+        cand1 = np.clip(p1_best + offsets[:, 0] * step, 1e-12, 1.0 - 1e-12)
+        cand3 = np.clip(p3_best + offsets[:, 1] * step, 1e-12, 1.0 - 1e-12)
+        vals = _dual_min_eig_grid(f_arr, cand1, cand3)
+        idx = int(np.argmax(vals))
+        if vals[idx] > val_best:
+            p1_best, p3_best, val_best = cand1[idx], cand3[idx], vals[idx]
+        step *= 0.5
+
+    witness = DualCompletion(f=f, p1=float(p1_best), p2=float(1.0 - p1_best),
+                             p3=float(p3_best), p4=float(1.0 - p3_best))
+    feasible = bool(val_best >= -_psd_threshold(witness.matrix(), tol))
+    return feasible, witness, float(val_best)

@@ -71,6 +71,15 @@ class TestSubcommands:
         assert data["member"]["inside"]
         assert data["completion"]["feasible"]
 
+    def test_dual_near_boundary_agrees_with_member(self, capsys):
+        # support 0.99894...: inside Q°, so the certificate is feasible too
+        code, data = run_cli(capsys, "dual", "--functional",
+                             "[0.1317,0.3538,-0.5143,0.2592]")
+        assert code == 0
+        assert data["member"]["inside"]
+        assert data["completion"]["feasible"]
+        assert data["support"] == pytest.approx(0.99894, abs=1e-5)
+
     def test_orbit(self, capsys):
         code, data = run_cli(capsys, "orbit", "--point", "[1,1,1,1]")
         assert code == 0 and data["size"] == 8
@@ -234,6 +243,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(argv + ["--eps-angle", "0.5"])
         assert info.value.code == 2
+
+    def test_eps_flags_rejected_with_selftest_model(self, capsys, tmp_path):
+        code, payload = run_cli(capsys, "model", "--angles",
+                                "[0.3,0.4,0.5,-1.2]")
+        assert code == 0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        for flag in ("--eps-boundary", "--eps-angle", "--eps-psd"):
+            with pytest.raises(SystemExit) as info:
+                main(["selftest", "--model", str(path), flag, "1e-9"])
+            assert info.value.code == 2
+            assert "--angles" in capsys.readouterr().err
+        code, _ = run_cli(capsys, "selftest", "--model", str(path))
+        assert code == 0
 
     def test_closed_stdout_exits_without_traceback(self):
         src = os.path.dirname(os.path.dirname(qbody.__file__))

@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbody import (
     AngleTuple,
@@ -25,7 +27,9 @@ from qbody import (
     support,
 )
 
-from helpers import CHSH_ANGLES, CHSH_POINT, SQRT2, deep_interior_point, tetra_angles
+from helpers import (CHSH_ANGLES, CHSH_POINT, EVEN_VERTEX_TUPLES, SQRT2,
+                     deep_interior_point, dual_completion_grid,
+                     random_symmetry, tetra_angles)
 
 
 class TestQuantumCase:
@@ -61,6 +65,16 @@ class TestSupport:
 
     def test_zero(self):
         assert support(Functional(0, 0, 0, 0)) == 0.0
+
+    def test_subnormal_entry_stays_classical(self):
+        # 1/5e-324 overflows; m must still come out near 1, not infinite
+        assert support(Functional(1.0, 2.0, 5e-324, -1.0)) == 4.0
+
+    def test_tiny_quantum_functional(self):
+        # k = -4e-360 underflows to zero in floating point
+        f = Functional(1e-60, 1e-60, 1e-60, -1e-60)
+        assert support(f) == pytest.approx(2.0 * SQRT2 * 1e-60,
+                                           rel=1e-12, abs=0.0)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(73)
@@ -174,6 +188,64 @@ class TestDualCompletion:
             F = result.witness.matrix()
             assert float(np.trace(C @ F)) == pytest.approx(
                 2.0 - 2.0 * f.dot(c), abs=1e-10)
+
+    def test_near_boundary_functional_feasible(self):
+        # support 0.99894..., strictly inside Q°; the grid search that
+        # built the certificate before reported it infeasible
+        f = Functional(0.1317, 0.3538, -0.5143, 0.2592)
+        s = support(f)
+        result = dual_completion(f)
+        assert result.feasible
+        assert result.support == s
+        assert result.witness.min_eigenvalue() == pytest.approx(
+            (1.0 - s) / 2.0, abs=1e-12)
+
+    def test_maximizer_attains_support_in_q(self):
+        rng = np.random.default_rng(103)
+        for _ in range(300):
+            f = Functional.from_sequence(rng.uniform(-1, 1, size=4))
+            result = dual_completion(f)
+            assert f.dot(result.maximizer) == pytest.approx(
+                result.support, abs=1e-12)
+            assert member(result.maximizer, Oracle.SEMIALG).margin > -1e-12
+
+    def test_maximizer_matches_angle_route(self):
+        # the exposing functional of cos(t) is maximized at cos(t), and
+        # the symmetry group acts alike on points and functionals
+        rng = np.random.default_rng(107)
+        for t in tetra_angles(rng, 300, k_min=0.2):
+            S = random_symmetry(rng)
+            f = Functional.from_sequence(S @ exposing_functional(t).as_array())
+            assert quantum_case(f).quantum_case
+            c_star = dual_completion(f).maximizer.as_array()
+            assert np.abs(c_star - S @ t.cosines().as_array()).max() < 1e-9
+
+    def test_classical_maximizer_is_best_even_vertex(self):
+        rng = np.random.default_rng(109)
+        checked = 0
+        while checked < 300:
+            f = Functional.from_sequence(rng.uniform(-1, 1, size=4))
+            if quantum_case(f).quantum_case:
+                continue
+            best = max(EVEN_VERTEX_TUPLES, key=lambda v: f.dot(Correlation(*v)))
+            assert dual_completion(f).maximizer.as_tuple() == best
+            checked += 1
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.tuples(*[st.floats(-2.0, 2.0)] * 4))
+    def test_matches_grid_search(self, entries):
+        f = Functional(*entries)
+        s = support(f)
+        result = dual_completion(f)
+        lam = result.witness.min_eigenvalue()
+        grid_feasible, _, grid_lam = dual_completion_grid(f)
+        scale = max(1.0, float(np.linalg.norm(entries)))
+        assert lam >= grid_lam - 1e-12
+        assert abs(lam - (1.0 - s) / 2.0) <= 1e-12 * scale
+        if abs(s - 1.0) > 1e-9:
+            assert result.feasible == (s <= 1.0)
+            assert grid_feasible == result.feasible
 
 
 class TestPhiMap:
