@@ -48,10 +48,9 @@ which satisfies ``f·c = 1`` and ``f·c' < 1`` elsewhere on ``Q``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCE,
@@ -196,6 +195,7 @@ RANK_BY_STRATUM = {
 def _psd_threshold(matrix: np.ndarray, tol: Tolerance) -> float:
     """Eigenvalue threshold for semidefiniteness and numerical rank:
     ``tol.eps_psd`` relative to the largest entry, or to 1 if larger."""
+    import numpy as np
     return tol.eps_psd * max(1.0, float(np.abs(matrix).max()))
 
 
@@ -203,6 +203,7 @@ class _Certificate:
     """PSD test shared by the primal and dual completion certificates."""
 
     def min_eigenvalue(self) -> float:
+        import numpy as np
         return float(np.linalg.eigvalsh(self.matrix())[0])
 
     def is_psd(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -218,6 +219,7 @@ class Completion(_Certificate):
     v: float
 
     def matrix(self) -> np.ndarray:
+        import numpy as np
         c11, c12, c21, c22 = self.c.as_tuple()
         return np.array([
             [1.0, self.u, c11, c12],
@@ -232,9 +234,17 @@ class CompletionResult:
     feasible: bool
     witness: Completion
     unique: bool
-    rank: int
     u_interval: tuple[float, float]
     v_interval: tuple[float, float]
+    tol: Tolerance
+
+    @functools.cached_property
+    def rank(self) -> int:
+        """Numerical rank of the witness at ``tol.eps_psd``."""
+        import numpy as np
+        matrix = self.witness.matrix()
+        eigs = np.linalg.eigvalsh(matrix)
+        return int((eigs > _psd_threshold(matrix, self.tol)).sum())
 
 
 def solve_completion(c: Correlation,
@@ -248,7 +258,9 @@ def solve_completion(c: Correlation,
     makes the formula singular).  ``unique`` records whether both intervals
     degenerate to points, which happens exactly on the boundary of ``Q``.
     ``rank`` is the numerical rank of the witness at the relative
-    eigenvalue threshold ``tol.eps_psd``.
+    eigenvalue threshold ``tol.eps_psd``.  Its eigenvalue computation runs
+    when ``rank`` is first read, so callers that need only feasibility,
+    such as ``member``, do no linear algebra.
     """
     c11, c12, c21, c22 = c.as_tuple()
     eps = tol.eps_boundary
@@ -281,12 +293,8 @@ def solve_completion(c: Correlation,
     unique = feasible and (ru - lu) <= _UNIQUE_WIDTH \
         and (rv - lv) <= _UNIQUE_WIDTH
 
-    eigs = np.linalg.eigvalsh(witness.matrix())
-    rank = int((eigs > _psd_threshold(witness.matrix(), tol)).sum())
-
     return CompletionResult(feasible=feasible, witness=witness, unique=unique,
-                            rank=rank, u_interval=(lu, ru),
-                            v_interval=(lv, rv))
+                            u_interval=(lu, ru), v_interval=(lv, rv), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +489,7 @@ class GramSystem:
     b2: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         shapes = {v.shape for v in self.vectors()}
         if len(shapes) != 1 or self.a1.ndim != 1 or self.a1.shape[0] < 1:
             raise ValueError(f"vectors must share one r-space, got {shapes}")
@@ -514,6 +523,7 @@ def gram_vectors(comp: Completion,
     :class:`ConsistencyError` if the factorization does not reproduce the
     matrix to 1e-9.
     """
+    import numpy as np
     matrix = comp.matrix()
     threshold = _psd_threshold(matrix, tol)
     eigvals, eigvecs = np.linalg.eigh(matrix)

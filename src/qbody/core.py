@@ -38,17 +38,22 @@ The common symmetry group of ``Q`` and ``CL`` consists of the 192 signed
 permutation matrices with an even number of minus signs; they are kept as
 one read-only ``(192, 4, 4)`` integer array so that group arithmetic is
 exact.
+
+Importing the package does not import numpy: every scalar quantity is
+computed with Python floats, and numpy is imported inside the functions
+that build or read arrays.  The array constants ``TWO_H`` and ``HADAMARD``
+are built on first access, the symmetry group on the first
+:func:`symmetry_group` or :func:`orbit` call.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterable, Sequence
-
-import numpy as np
 
 __all__ = [
     "QBodyError",
@@ -172,6 +177,7 @@ class _Vector4:
         return cls(float(seq[0]), float(seq[1]), float(seq[2]), float(seq[3]))
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.array(self.as_tuple(), dtype=float)
 
     def __iter__(self):
@@ -264,19 +270,30 @@ class TransformDirection(enum.Enum):
 
 
 # 2H is the integer ±1 matrix; H = TWO_H / 2 satisfies H² = identity.
-TWO_H = np.array(
-    [[1, 1, 1, 1],
-     [1, -1, 1, -1],
-     [1, 1, -1, -1],
-     [1, -1, -1, 1]], dtype=np.int64)
-
-HADAMARD = TWO_H.astype(float) / 2.0
+# It is symmetric, so these rows are also its columns.
+_TWO_H_ROWS = ((1, 1, 1, 1),
+               (1, -1, 1, -1),
+               (1, 1, -1, -1),
+               (1, -1, -1, 1))
 
 # The 8 even vertices of the cube (columns of 2H and their negatives).
 EVEN_VERTICES = tuple(
-    tuple(int(x) for x in sgn * TWO_H[:, k])
-    for k in range(4) for sgn in (1, -1)
+    tuple(sgn * x for x in column)
+    for column in _TWO_H_ROWS for sgn in (1, -1)
 )
+
+
+def __getattr__(name: str):
+    # ``TWO_H`` and ``HADAMARD`` are numpy arrays, built on first access so
+    # that importing this module does not import numpy.  The name is checked
+    # first: ``from .core import x`` and ``hasattr`` probe attributes too.
+    if name not in ("TWO_H", "HADAMARD"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+    two_h = np.array(_TWO_H_ROWS, dtype=np.int64)
+    globals().update(TWO_H=two_h, HADAMARD=two_h.astype(float) / 2.0)
+    return globals()[name]
+
 
 # Sign patterns with an odd number of minus signs, ordered by the 4-bit
 # integer (b11 b12 b21 b22) where bit 1 means a minus sign.  Pattern 0001,
@@ -352,6 +369,13 @@ def _h_polar(f11, f12, f21, f22):
     return _k(f11, f12, f21, f22) - f11 * f12 * f21 * f22
 
 
+def _two_h(t0, t1, t2, t3):
+    """``2H·t`` summed as ``(t0 ± t2) ± (t1 ± t3)``; ``½H·t`` is
+    ``0.25·_two_h(*t)``."""
+    s02, s13, d02, d13 = t0 + t2, t1 + t3, t0 - t2, t1 - t3
+    return (s02 + s13, s02 - s13, d02 + d13, d02 - d13)
+
+
 def _odd_halves(c11, c12, c21, c22):
     """``½·Σ s_ij·c_ij`` for the odd patterns 0001, 0010, 0100 and 0111.
 
@@ -363,7 +387,9 @@ def _odd_halves(c11, c12, c21, c22):
 
 
 def _assert_close(a: float, b: float, rel: float, what: str) -> None:
-    if abs(a - b) > rel * max(1.0, abs(a), abs(b)):
+    # a NaN on either side compares false with the bound, so it is caught first
+    if math.isnan(a) or math.isnan(b) \
+            or abs(a - b) > rel * max(1.0, abs(a), abs(b)):
         raise ConsistencyError(f"{what}: {a!r} vs {b!r}")
 
 
@@ -397,7 +423,7 @@ def dual_polys(f: Functional, rel_tol: float = 1e-9) -> DualPolys:
     h_dual = _h_polar(*t)
     g_dual = 1.0 - 2.0 * norm2 + q
 
-    y = TWO_H @ f.as_array()
+    y = _two_h(*t)
     _assert_close(h_dual, _h(*y) / 256.0, rel_tol, "h_dual vs h(2Hf)/256")
     _assert_close(g_dual, _g(*y) / 2.0, rel_tol, "g_dual vs g(2Hf)/2")
     return DualPolys(k=k, p=p, q=q, g_dual=g_dual, h_dual=h_dual)
@@ -433,23 +459,24 @@ def dual_transform(x: Sequence[float],
     ``Q°``), ``FROM_DUAL`` maps to ``2Hx``; the two are mutually inverse
     because ``H`` is an involution.
     """
-    v = np.asarray(tuple(x), dtype=float)
-    if v.shape != (4,):
+    v = tuple(float(t) for t in x)
+    if len(v) != 4:
         raise ValueError("dual_transform expects a 4-vector")
     if direction is TransformDirection.TO_DUAL:
-        out = 0.5 * (HADAMARD @ v)
-    elif direction is TransformDirection.FROM_DUAL:
-        out = TWO_H @ v
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown direction {direction!r}")
-    return tuple(float(t) for t in out)
+        return tuple(0.25 * t for t in _two_h(*v))
+    if direction is TransformDirection.FROM_DUAL:
+        return _two_h(*v)
+    raise ValueError(  # pragma: no cover - enum is closed
+        f"unknown direction {direction!r}")
 
 
 # ---------------------------------------------------------------------------
 # Symmetry group
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_group() -> np.ndarray:
+    import numpy as np
     mats = np.zeros((192, 4, 4), dtype=np.int64)
     k = 0
     for perm in permutations(range(4)):
@@ -461,9 +488,6 @@ def _build_group() -> np.ndarray:
     return mats
 
 
-_GROUP = _build_group()
-
-
 def symmetry_group() -> np.ndarray:
     """All 192 signed 4x4 permutation matrices with an even sign count.
 
@@ -471,9 +495,10 @@ def symmetry_group() -> np.ndarray:
     cube among themselves, hence the common symmetries of ``CL`` and ``Q``.
     The group is one read-only ``(192, 4, 4)`` int64 array, so products and
     inverses are exact; element ``k`` runs over permutations (outer) and
-    even sign tuples (inner), with ``S[i, perm[i]] = sign[i]``.
+    even sign tuples (inner), with ``S[i, perm[i]] = sign[i]``.  It is
+    built on the first call.
     """
-    return _GROUP
+    return _build_group()
 
 
 def orbit(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE) -> list[Correlation]:
@@ -482,7 +507,8 @@ def orbit(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE) -> list[Correlatio
     Points closer than ``tol.eps_angle`` in max norm are identified.  The
     result is ordered lexicographically for reproducibility.
     """
-    images = _GROUP @ c.as_array()
+    import numpy as np
+    images = _build_group() @ c.as_array()
     images = images[np.lexsort(images.T[::-1])]
     # lexicographic order does not make near-duplicates adjacent, so each
     # kept image drops every later one within the tolerance

@@ -50,8 +50,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     DEFAULT_TOLERANCE,
     ConsistencyError,
@@ -60,7 +58,6 @@ from .core import (
     OutsideTetrahedron,
     Tolerance,
     TransformDirection,
-    TWO_H,
     ZeroFunctional,
     dual_polys,
     dual_transform,
@@ -68,6 +65,8 @@ from .core import (
     _h_polar,
     _k,
     _q,
+    _two_h,
+    _TWO_H_ROWS,
 )
 from .membership import MembershipVerdict, Oracle, member
 from .boundary import AngleTuple, _Certificate, exposing_functional
@@ -109,19 +108,34 @@ class CaseVerdict:
         return self.phi_quantum if self.quantum_case else self.phi_classical
 
 
+def _normalized(entries: tuple) -> tuple[tuple, int]:
+    """``(f·2^-e, e)`` with the largest ``|f_ij|·2^-e`` in ``[0.5, 1)``.
+
+    The scaling is exact, so a degree-1 result computed from the scaled
+    entries and multiplied by ``2^e`` is bit for bit the unscaled one
+    wherever that neither under- nor overflows; and the scaled entries
+    keep products up to degree 6 in the float range at any magnitude.
+    """
+    e = math.frexp(max(abs(v) for v in entries))[1]
+    return tuple(math.ldexp(v, -e) for v in entries), e
+
+
 def quantum_case(f: Functional) -> CaseVerdict:
     """Decide whether ``f`` is maximized at a nonclassical exposed point.
 
     Three equivalent criteria are evaluated; they must agree whenever all
     three margins exceed 1e-9, else :class:`ConsistencyError`.  The margin
     band exists because the criteria use different arithmetic and may
-    disagree on the razor's edge.
+    disagree on the razor's edge.  The criteria run on ``f`` scaled by a
+    power of two (see :func:`_normalized`), which keeps the support
+    positively homogeneous at every magnitude; the margins are those of
+    the scaled functional.
     """
-    entries = f.as_tuple()
-    if max(abs(v) for v in entries) == 0.0:
+    if max(abs(v) for v in f.as_tuple()) == 0.0:
         raise ZeroFunctional("the zero functional has no case split")
+    entries, exponent = _normalized(f.as_tuple())
 
-    polys = dual_polys(f)
+    polys = dual_polys(Functional(*entries))
     p = polys.p
 
     # criterion A: p < 0 and m > 2 (m needs all entries nonzero, which
@@ -145,10 +159,10 @@ def quantum_case(f: Functional) -> CaseVerdict:
 
     # criterion C: after the even sign change putting the classical
     # maximizer at (1,1,1,1), the elementary symmetric cubic is negative
-    y = TWO_H @ f.as_array()
-    kstar = int(np.argmax(np.abs(y)))
-    vertex = tuple(float(s) for s in
-                   TWO_H[:, kstar] * (1 if y[kstar] >= 0 else -1))
+    y = _two_h(*entries)
+    kstar = max(range(4), key=lambda i: abs(y[i]))  # the first maximum
+    sign = 1 if y[kstar] >= 0 else -1
+    vertex = tuple(float(sign * s) for s in _TWO_H_ROWS[kstar])
     fp = [s * v for s, v in zip(vertex, entries)]
     cubic = (fp[0] * fp[1] * fp[2] + fp[0] * fp[1] * fp[3]
              + fp[0] * fp[2] * fp[3] + fp[1] * fp[2] * fp[3])
@@ -162,14 +176,14 @@ def quantum_case(f: Functional) -> CaseVerdict:
                 f"case criteria disagree: {verdicts} with margins "
                 f"({margin_a:.3e}, {margin_b:.3e}, {margin_c:.3e})")
 
-    phi_c = float(np.abs(y).max())
+    phi_c = math.ldexp(abs(y[kstar]), exponent)
     if verdict_a:
         k = polys.k
         if min(abs(k), -p) < sys.float_info.min:
             # k or p underflowed: take their ratio in exact arithmetic
             exact = _exact(entries)
             k, p = _k(*exact), math.prod(exact)
-        phi_q = math.sqrt(k / p)
+        phi_q = math.ldexp(math.sqrt(k / p), exponent)
     else:
         phi_q = None
     return CaseVerdict(quantum_case=verdict_a, m_value=m_value,
@@ -239,6 +253,7 @@ class DualCompletion(_Certificate):
             raise ValueError(f"diagonal sum {total!r} != 2")
 
     def matrix(self) -> np.ndarray:
+        import numpy as np
         f11, f12, f21, f22 = self.f.as_tuple()
         return np.array([
             [self.p1, 0.0, -f11, -f12],
@@ -289,8 +304,9 @@ def dual_completion(f: Functional,
     if max(abs(v) for v in entries) > 0.0:
         verdict = quantum_case(f)
         s = verdict.phi
-        c_star = _quantum_maximizer(entries) if verdict.quantum_case \
-            else verdict.vertex
+        # c* is of degree 0 in f, so the scaled entries give it unchanged
+        c_star = _quantum_maximizer(_normalized(entries)[0]) \
+            if verdict.quantum_case else verdict.vertex
     p1 = entries[0] * c_star[0] + entries[1] * c_star[1] + 0.5 * (1.0 - s)
     p3 = entries[0] * c_star[0] + entries[2] * c_star[2] + 0.5 * (1.0 - s)
     witness = DualCompletion(f=f, p1=p1, p2=1.0 - p1, p3=p3, p4=1.0 - p3)

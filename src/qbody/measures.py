@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, TextIO
 
-import numpy as np
-
 from .core import (Correlation, InvalidSlice, Tolerance, DEFAULT_TOLERANCE,
                    primal_polys, symmetry_group)
 from .membership import Oracle, _by_blocks, classical_margin_batch, margin_batch
@@ -95,6 +93,7 @@ class VolumeEstimate:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
+    import numpy as np
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
@@ -137,6 +136,7 @@ _FACET_COLLAR = 1e-6
 
 def _sample_blocks(cfg: SamplerConfig, accept) -> np.ndarray:
     """Accumulate accepted points block by block, then truncate."""
+    import numpy as np
     out: list[np.ndarray] = []
     count = 0
     block = 0
@@ -166,6 +166,7 @@ def _accept_q_interior(rng: np.random.Generator) -> np.ndarray:
 
 
 def _accept_q4(rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
     angles = rng.uniform(0.0, math.pi, size=(_BLOCK, 3))
     total = angles.sum(axis=1)
     lo, hi = _ANGLE_COLLAR, math.pi - _ANGLE_COLLAR
@@ -182,6 +183,7 @@ def _accept_q4(rng: np.random.Generator) -> np.ndarray:
 
 
 def _accept_q5(rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
     coords = rng.uniform(-1.0, 1.0, size=(_BLOCK, 3))
     facets = rng.integers(0, 8, size=_BLOCK)
     axis = facets // 2
@@ -300,6 +302,7 @@ def slice_grid(spec: SliceSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> SliceTabl
     the cube); completion-rank cross-checks are skipped here for
     throughput, being covered by the classification tests.
     """
+    import numpy as np
     free = spec.free_axes()
     at_free = [AXES.index(axis) for axis in free]
     grids = np.meshgrid(*(np.linspace(-1.0, 1.0, n) for n in spec.resolutions()),

@@ -33,8 +33,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     DEFAULT_TOLERANCE,
     ConsistencyError,
@@ -237,6 +235,7 @@ def member(c: Correlation, oracle: Oracle = Oracle.SEMIALG,
 # ---------------------------------------------------------------------------
 
 def _as_points(points: np.ndarray) -> np.ndarray:
+    import numpy as np
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError("expected an (n, 4) array of points")
@@ -256,6 +255,7 @@ def _by_blocks(kernel, pts: np.ndarray, *args) -> np.ndarray:
     The kernels are elementwise, so the result is bit-identical to one
     call on the whole array.
     """
+    import numpy as np
     out = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], _BLOCK_ROWS):
         out[start:start + _BLOCK_ROWS] = \
@@ -265,9 +265,11 @@ def _by_blocks(kernel, pts: np.ndarray, *args) -> np.ndarray:
 
 def classical_margin_batch(points: np.ndarray) -> np.ndarray:
     """Vectorized CL margin (cube slack and odd-signed combination slack)."""
+    import numpy as np
     return _by_blocks(_classical, _as_points(points), np)
 
 
 def margin_batch(points: np.ndarray, oracle: Oracle) -> np.ndarray:
     """Vectorized signed margins; the same kernels as :func:`member`."""
+    import numpy as np
     return _by_blocks(_margin_kernel(oracle), _as_points(points), np)

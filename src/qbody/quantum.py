@@ -36,11 +36,10 @@ relations a usable self-test.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .core import (
     BadWeights,
@@ -69,11 +68,26 @@ _COMMUTATOR_TOL = 1e-10
 _SPECTRUM_TOL = 1e-10
 _SYMMETRY_TOL = 1e-12
 
-SINGLET_PSI = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+
+@functools.cache
+def _singlet_psi() -> np.ndarray:
+    import numpy as np
+    return np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+
+
+def __getattr__(name: str):
+    # ``SINGLET_PSI`` and ``CLIFFORD_GENERATORS`` are numpy arrays, built on
+    # first access so that importing this module does not import numpy.
+    if name == "SINGLET_PSI":
+        return _singlet_psi()
+    if name == "CLIFFORD_GENERATORS":
+        return _clifford_generators()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def reflection_matrix(tau: float) -> np.ndarray:
     """The planar reflection ``M(tau)``; symmetric, orthogonal, trace 0."""
+    import numpy as np
     ct, st = math.cos(tau), math.sin(tau)
     return np.array([[ct, st], [st, -ct]])
 
@@ -94,6 +108,7 @@ class QuantumModel:
 
     def validate(self) -> None:
         """Check the defining hypotheses; raise :class:`InvalidModel`."""
+        import numpy as np
         if self.psi.shape != (self.d,):
             raise InvalidModel(f"psi shape {self.psi.shape} != ({self.d},)")
         norm = float(np.linalg.norm(self.psi))
@@ -128,6 +143,7 @@ class QuantumModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuantumModel":
+        import numpy as np
         d = int(data["d"])
         return cls(psi=np.asarray(data["psi"], dtype=float),
                    A1=np.asarray(data["A1"], dtype=float),
@@ -152,12 +168,13 @@ def build_model(t: AngleTuple) -> QuantumModel:
 
     ``t`` met its sum constraint at its own tolerance when it was built.
     """
+    import numpy as np
     eye2 = np.eye(2)
     A1 = np.kron(reflection_matrix(t.alpha), eye2)
     A2 = np.kron(reflection_matrix(-t.gamma), eye2)
     B1 = np.kron(eye2, reflection_matrix(math.pi))
     B2 = np.kron(eye2, reflection_matrix(t.alpha + t.beta + math.pi))
-    return QuantumModel(psi=SINGLET_PSI.copy(), A1=A1, A2=A2, B1=B1, B2=B2, d=4)
+    return QuantumModel(psi=_singlet_psi().copy(), A1=A1, A2=A2, B1=B1, B2=B2, d=4)
 
 
 def correlations_of(m: QuantumModel) -> Correlation:
@@ -177,6 +194,7 @@ def correlations_of(m: QuantumModel) -> Correlation:
 
 def _cyclic_basis(m: QuantumModel) -> np.ndarray:
     """Orthonormal basis of the span of words of length <= 3 applied to psi."""
+    import numpy as np
     ops = m.observables()
     vectors = [m.psi]
     frontier = [m.psi]
@@ -198,6 +216,7 @@ def selftest_residuals(m: QuantumModel) -> SelfTestReport:
     gamma is recovered by least squares on span{A1 psi, A2 psi}, so
     off-manifold models yield informative residuals instead of errors.
     """
+    import numpy as np
     m.validate()
     psi = m.psi
     A1, A2, B1, B2 = m.observables()
@@ -241,6 +260,7 @@ def selftest_residuals(m: QuantumModel) -> SelfTestReport:
 # Constructive realization of arbitrary Gram systems
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _clifford_generators() -> tuple[np.ndarray, ...]:
     """Four pairwise-anticommuting real symmetric involutions on R^8.
 
@@ -250,6 +270,7 @@ def _clifford_generators() -> tuple[np.ndarray, ...]:
     them to four on R^8.  Four such matrices cannot exist on R^4, which
     pins the ambient dimension used below.
     """
+    import numpy as np
     s1 = np.array([[0.0, 1.0], [1.0, 0.0]])
     s3 = np.array([[1.0, 0.0], [0.0, -1.0]])
     eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -257,8 +278,6 @@ def _clifford_generators() -> tuple[np.ndarray, ...]:
     gens = tuple(np.kron(s1, q) for q in quad4) + (np.kron(s3, np.eye(4)),)
     return gens
 
-
-CLIFFORD_GENERATORS = _clifford_generators()
 
 
 def clifford_model(gs: GramSystem) -> QuantumModel:
@@ -271,16 +290,18 @@ def clifford_model(gs: GramSystem) -> QuantumModel:
     reproduce the scalar products exactly.  Unit vectors make each
     observable an involution, so the hypotheses hold by construction.
     """
+    import numpy as np
     r = gs.r
     if r > 4:
         raise DimensionTooLarge(f"Gram vectors live in R^{r}, maximum is 4")
-    dim = CLIFFORD_GENERATORS[0].shape[0]
+    generators = _clifford_generators()
+    dim = generators[0].shape[0]
     eye = np.eye(dim)
 
     def contract(vec: np.ndarray) -> np.ndarray:
         padded = np.zeros(4)
         padded[:r] = vec
-        return sum(padded[k] * CLIFFORD_GENERATORS[k] for k in range(4))
+        return sum(padded[k] * generators[k] for k in range(4))
 
     A1 = np.kron(contract(gs.a1), eye)
     A2 = np.kron(contract(gs.a2), eye)
@@ -292,6 +313,7 @@ def clifford_model(gs: GramSystem) -> QuantumModel:
 
 def mixture_model(models: Sequence[tuple[float, QuantumModel]]) -> QuantumModel:
     """Block direct sum realizing the weighted mixture of correlations."""
+    import numpy as np
     if not models:
         raise BadWeights("empty mixture")
     weights = [w for w, _ in models]

@@ -12,6 +12,12 @@ from qbody.cli import main
 from helpers import SQRT2
 
 
+def _child_env() -> dict:
+    src = os.path.dirname(os.path.dirname(qbody.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip()
@@ -259,13 +265,10 @@ class TestExitCodes:
         assert code == 0
 
     def test_closed_stdout_exits_without_traceback(self):
-        src = os.path.dirname(os.path.dirname(qbody.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         child = subprocess.Popen(
             [sys.executable, "-m", "qbody.cli", "model",
              "--angles", "[0.3,0.4,0.5,-1.2]"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
         child.stdout.close()  # the reader is gone before the child writes
         err = child.stderr.read().decode()
         child.stderr.close()
@@ -281,3 +284,38 @@ class TestExitCodes:
         code = main(["angles", "--point", "[-1,0,0,0]"])
         data = json.loads(capsys.readouterr().out)
         assert code == 1 and data["error"]["kind"] == "NotExtreme"
+
+
+class TestStartWithoutNumpy:
+    """The scalar subcommands and a bare ``import qbody`` load no numpy."""
+
+    # exit status 3 marks a run that loaded numpy
+    _CHILD = ("import sys; from qbody.cli import main; "
+              "status = main(sys.argv[1:]); "
+              "sys.exit(3 if 'numpy' in sys.modules else status)")
+
+    @pytest.mark.parametrize("argv", [
+        ["member", "--point", CHSH_JSON, "--oracle", "all"],
+        ["support", "--functional", "[0.5,0.5,0.5,-0.5]"],
+        ["gauge", "--point", "[0.2,0.1,-0.3,0.4]"],
+        ["angles", "--point", CHSH_JSON],
+        ["angles", "--angles", "[0.3,0.4,0.5,-1.2]"],
+        ["expose", "--angles", "[0.3,0.4,0.5,-1.2]"],
+        ["ncycle", "--point", "[1,1,1,1]", "--functional", "[1,0,0,0]"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[1:2]))
+    def test_scalar_subcommand(self, argv):
+        child = subprocess.run([sys.executable, "-c", self._CHILD, *argv],
+                               capture_output=True, text=True,
+                               env=_child_env(), timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert "error" not in json.loads(child.stdout)
+
+    def test_bare_import(self):
+        code = ("import sys, qbody, qbody.core, qbody.quantum; "
+                "assert not hasattr(qbody.core, 'NO_SUCH_NAME'); "
+                "assert not hasattr(qbody.quantum, 'NO_SUCH_NAME'); "
+                "sys.exit(3 if 'numpy' in sys.modules else 0)")
+        child = subprocess.run([sys.executable, "-c", code],
+                               capture_output=True, text=True,
+                               env=_child_env(), timeout=60)
+        assert child.returncode == 0, child.stderr

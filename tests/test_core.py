@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qbody import (
+    ConsistencyError,
     Correlation,
     Functional,
     Tolerance,
@@ -15,7 +16,8 @@ from qbody import (
     primal_polys,
     symmetry_group,
 )
-from qbody.core import HADAMARD, TWO_H, _g, _h, _h_squared
+from qbody.core import (HADAMARD, TWO_H, _assert_close, _g, _h, _h_squared,
+                        _two_h)
 
 from helpers import (CHSH_POINT, EVEN_VERTEX_TUPLES, SQRT2, group_matrices,
                      q2_point)
@@ -74,6 +76,18 @@ class TestDualPolys:
         assert (polys.k, polys.p, polys.q) == (0.0, 0.0, 0.0)
         assert polys.g_dual == 1.0
 
+    def test_nan_in_cross_check_is_consistency_error(self):
+        # at 2^270 both k and p overflow to -inf, so h_dual = k - p is NaN
+        f = Functional(*(math.ldexp(v, 270) for v in (3, 1, 2, -1)))
+        with pytest.raises(ConsistencyError):
+            dual_polys(f)
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.0), (0.0, math.nan),
+                                      (math.nan, math.nan)])
+    def test_assert_close_rejects_nan_on_either_side(self, a, b):
+        with pytest.raises(ConsistencyError):
+            _assert_close(a, b, 1e-9, "nan")
+
 
 class TestChshValues:
     def test_maximal_violation(self):
@@ -117,6 +131,32 @@ class TestDualTransform:
         assert np.abs(HADAMARD @ HADAMARD - np.eye(4)).max() == 0.0
         assert np.abs(HADAMARD @ HADAMARD.T - np.eye(4)).max() == 0.0
         assert np.array_equal(TWO_H @ TWO_H, 4 * np.eye(4, dtype=np.int64))
+
+
+class TestTwoHKernel:
+    """``_two_h`` against the matrix product it replaces, ``TWO_H @ v``."""
+
+    def test_exact_on_dyadic_inputs(self):
+        # integers times a power of two: every partial sum is exact on both
+        # routes, whatever order the matrix product adds in
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            v = rng.integers(-2 ** 20, 2 ** 20, size=4) \
+                * 2.0 ** int(rng.integers(-60, 60))
+            assert _two_h(*v.tolist()) == tuple((TWO_H @ v).tolist())
+            assert dual_transform(v, TransformDirection.TO_DUAL) \
+                == tuple((0.5 * (HADAMARD @ v)).tolist())
+            assert dual_transform(v, TransformDirection.FROM_DUAL) \
+                == tuple((TWO_H @ v).tolist())
+
+    def test_within_rounding_on_normal_vectors(self):
+        # three roundings of partial sums up to 4·max|v| on either route
+        rng = np.random.default_rng(43)
+        for _ in range(5000):
+            v = rng.normal(size=4) * 10.0 ** int(rng.integers(-30, 30))
+            bound = 16 * np.spacing(np.abs(v).max())
+            got = np.array(_two_h(*v.tolist()))
+            assert np.abs(got - TWO_H @ v).max() <= bound
 
 
 def _orbit_reference(c: Correlation, eps_angle: float = 1e-9) -> list[tuple]:

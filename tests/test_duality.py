@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,32 @@ class TestSupport:
         f = Functional(1e-60, 1e-60, 1e-60, -1e-60)
         assert support(f) == pytest.approx(2.0 * SQRT2 * 1e-60,
                                            rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("j", [-270, 200, 270])
+    def test_homogeneous_where_products_leave_float_range(self, j):
+        # at 2^-270 p underflows to 0 (read as classical); at 2^200 k
+        # overflows (support inf), at 2^270 k and p do (support nan)
+        f = (3.0, 1.0, 2.0, -1.0)
+        scaled = Functional(*(math.ldexp(v, j) for v in f))
+        assert quantum_case(scaled).quantum_case
+        assert support(scaled) == math.ldexp(support(Functional(*f)), j)
+
+    def test_tiny_nonclassical_functional(self):
+        f = Functional(3e-90, 1e-90, 2e-90, -1e-90)
+        assert support(f) == pytest.approx(
+            1e-90 * support(Functional(3, 1, 2, -1)), rel=1e-15, abs=0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.tuples(*[st.floats(-2.0, 2.0).filter(lambda v: abs(v) >= 1e-3)]
+                     * 4),
+           st.integers(-300, 300))
+    def test_positively_homogeneous_at_every_scale(self, entries, j):
+        f = Functional(*entries)
+        scaled = Functional(*(2.0 ** j * v for v in entries))
+        assert support(scaled) == pytest.approx(2.0 ** j * support(f),
+                                                rel=1e-15, abs=0.0)
+        assert quantum_case(scaled).quantum_case == quantum_case(f).quantum_case
 
     def test_homogeneity(self):
         rng = np.random.default_rng(73)
