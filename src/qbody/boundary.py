@@ -192,22 +192,108 @@ RANK_BY_STRATUM = {
 }
 
 
-def _psd_threshold(matrix: np.ndarray, tol: Tolerance) -> float:
+def _psd_threshold(rows, tol: Tolerance) -> float:
     """Eigenvalue threshold for semidefiniteness and numerical rank:
     ``tol.eps_psd`` relative to the largest entry, or to 1 if larger."""
-    import numpy as np
-    return tol.eps_psd * max(1.0, float(np.abs(matrix).max()))
+    return tol.eps_psd * max(1.0, max(abs(x) for row in rows for x in row))
+
+
+# Bunch–Parlett's pivot ratio; it bounds the growth of the entries that
+# the elimination below produces.
+_BP_ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
+_SAFE = 2.0 ** 500
+
+
+def _count_above(rows, shift: float) -> int:
+    """The number of eigenvalues of the symmetric matrix ``rows`` above
+    ``shift``, counted without computing them.
+
+    By Sylvester's law of inertia, ``A = M - shift·I`` has as many positive
+    eigenvalues as the block diagonal ``D`` of its factorization
+    ``A = L·D·Lᵀ``.  Bunch–Parlett complete pivoting eliminates the largest
+    diagonal entry (a 1x1 pivot, counted if positive) when it is at least
+    ``_BP_ALPHA`` times the largest off-diagonal entry, and otherwise the
+    2x2 block of that off-diagonal entry, whose determinant is then
+    negative: it holds one eigenvalue of each sign.  A block whose largest
+    entry leaves ``[1/_SAFE, _SAFE]`` is first scaled by the power of two
+    that puts it in ``[0.5, 1)``, as ``duality._normalized`` does.  The
+    scaling is exact and keeps the inertia; inside that range no update
+    overflows and no pivot or 2x2 determinant underflows.
+    """
+    a = [list(row) for row in rows]
+    for i, row in enumerate(a):
+        row[i] -= shift
+    live = list(range(len(a)))
+    above = 0
+    while live:
+        diag = off = 0.0
+        p = q = r = live[0]
+        for m, i in enumerate(live):
+            row = a[i]
+            x = abs(row[i])
+            if x > diag:
+                diag, p = x, i
+            for j in live[m + 1:]:
+                x = abs(row[j])
+                if x > off:
+                    off, q, r = x, i, j
+        big = max(diag, off)
+        if big == 0.0:
+            break  # the rest is a zero block, whose eigenvalues are 0
+        if not 1.0 / _SAFE <= big <= _SAFE:
+            e = math.frexp(big)[1]
+            for i in live:
+                row = a[i]
+                for j in live:
+                    row[j] = math.ldexp(row[j], -e)
+        # each step leaves the Schur complement, kept exactly symmetric
+        if diag >= _BP_ALPHA * off:
+            prow = a[p]
+            d = prow[p]
+            above += d > 0.0
+            live.remove(p)
+            for m, i in enumerate(live):
+                row = a[i]
+                x = row[p] / d
+                for j in live[m:]:
+                    row[j] = a[j][i] = row[j] - x * prow[j]
+        else:
+            above += 1
+            live.remove(q)
+            live.remove(r)
+            qrow, rrow = a[q], a[r]
+            aqq, aqr, arr = qrow[q], qrow[r], rrow[r]
+            det = aqq * arr - aqr * aqr
+            for m, i in enumerate(live):
+                row = a[i]
+                # (wq, wr) = E⁻¹·(a_qi, a_ri) for the pivot block E
+                wq = (arr * row[q] - aqr * row[r]) / det
+                wr = (aqq * row[r] - aqr * row[q]) / det
+                for j in live[m:]:
+                    row[j] = a[j][i] = row[j] - (wq * qrow[j] + wr * rrow[j])
+    return above
 
 
 class _Certificate:
-    """PSD test shared by the primal and dual completion certificates."""
+    """PSD test shared by the primal and dual completion certificates,
+    which give their entries as :meth:`rows`."""
+
+    def matrix(self) -> np.ndarray:
+        import numpy as np
+        return np.array(self.rows())
 
     def min_eigenvalue(self) -> float:
         import numpy as np
         return float(np.linalg.eigvalsh(self.matrix())[0])
 
     def is_psd(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        return self.min_eigenvalue() >= -_psd_threshold(self.matrix(), tol)
+        """Whether no eigenvalue lies below ``-_psd_threshold``
+        (``tol.eps_psd`` relative to the largest entry, or to 1), that is
+        whether ``-M`` has no eigenvalue above it (:func:`_count_above`).
+        """
+        rows = self.rows()
+        return _count_above([[-x for x in row] for row in rows],
+                            _psd_threshold(rows, tol)) == 0
 
 
 @dataclass(frozen=True)
@@ -218,15 +304,13 @@ class Completion(_Certificate):
     u: float
     v: float
 
-    def matrix(self) -> np.ndarray:
-        import numpy as np
+    def rows(self) -> tuple[tuple[float, ...], ...]:
         c11, c12, c21, c22 = self.c.as_tuple()
-        return np.array([
-            [1.0, self.u, c11, c12],
-            [self.u, 1.0, c21, c22],
-            [c11, c21, 1.0, self.v],
-            [c12, c22, self.v, 1.0],
-        ])
+        u, v = self.u, self.v
+        return ((1.0, u, c11, c12),
+                (u, 1.0, c21, c22),
+                (c11, c21, 1.0, v),
+                (c12, c22, v, 1.0))
 
 
 @dataclass(frozen=True)
@@ -240,11 +324,11 @@ class CompletionResult:
 
     @functools.cached_property
     def rank(self) -> int:
-        """Numerical rank of the witness at ``tol.eps_psd``."""
-        import numpy as np
-        matrix = self.witness.matrix()
-        eigs = np.linalg.eigvalsh(matrix)
-        return int((eigs > _psd_threshold(matrix, self.tol)).sum())
+        """Numerical rank of the witness: the number of its eigenvalues
+        above ``_psd_threshold`` (``tol.eps_psd`` relative to its largest
+        entry, or to 1), counted by inertia (:func:`_count_above`)."""
+        rows = self.witness.rows()
+        return _count_above(rows, _psd_threshold(rows, self.tol))
 
 
 def solve_completion(c: Correlation,
@@ -258,9 +342,9 @@ def solve_completion(c: Correlation,
     makes the formula singular).  ``unique`` records whether both intervals
     degenerate to points, which happens exactly on the boundary of ``Q``.
     ``rank`` is the numerical rank of the witness at the relative
-    eigenvalue threshold ``tol.eps_psd``.  Its eigenvalue computation runs
-    when ``rank`` is first read, so callers that need only feasibility,
-    such as ``member``, do no linear algebra.
+    eigenvalue threshold ``tol.eps_psd``.  Its inertia count runs when
+    ``rank`` is first read, so callers that need only feasibility, such as
+    ``member``, do no linear algebra.
     """
     c11, c12, c21, c22 = c.as_tuple()
     eps = tol.eps_boundary
@@ -525,7 +609,7 @@ def gram_vectors(comp: Completion,
     """
     import numpy as np
     matrix = comp.matrix()
-    threshold = _psd_threshold(matrix, tol)
+    threshold = _psd_threshold(comp.rows(), tol)
     eigvals, eigvecs = np.linalg.eigh(matrix)
     if eigvals[0] < -threshold:
         raise NotPSD(f"minimum eigenvalue {eigvals[0]:.3e}")

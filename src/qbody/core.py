@@ -42,8 +42,9 @@ exact.
 Importing the package does not import numpy: every scalar quantity is
 computed with Python floats, and numpy is imported inside the functions
 that build or read arrays.  The array constants ``TWO_H`` and ``HADAMARD``
-are built on first access, the symmetry group on the first
-:func:`symmetry_group` or :func:`orbit` call.
+are built on first access, the symmetry group array on the first
+:func:`symmetry_group` call; :func:`orbit` applies the group's signed
+permutations to Python floats.
 """
 
 from __future__ import annotations
@@ -474,16 +475,22 @@ def dual_transform(x: Sequence[float],
 # Symmetry group
 # ---------------------------------------------------------------------------
 
+# The group as ``(perm, signs)`` pairs with ``S[i, perm[i]] = signs[i]``:
+# permutations outer, even sign tuples inner.
+_GROUP = tuple(
+    (perm, signs)
+    for perm in permutations(range(4))
+    for signs in product((1, -1), repeat=4)
+    if signs[0] * signs[1] * signs[2] * signs[3] == 1
+)
+
+
 @functools.cache
 def _build_group() -> np.ndarray:
     import numpy as np
     mats = np.zeros((192, 4, 4), dtype=np.int64)
-    k = 0
-    for perm in permutations(range(4)):
-        for signs in product((1, -1), repeat=4):
-            if signs[0] * signs[1] * signs[2] * signs[3] == 1:
-                mats[k, range(4), perm] = signs
-                k += 1
+    for k, (perm, signs) in enumerate(_GROUP):
+        mats[k, range(4), perm] = signs
     mats.flags.writeable = False
     return mats
 
@@ -505,16 +512,26 @@ def orbit(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE) -> list[Correlatio
     """The set ``{S·c}`` over the symmetry group, deduplicated.
 
     Points closer than ``tol.eps_angle`` in max norm are identified.  The
-    result is ordered lexicographically for reproducibility.
+    result is ordered lexicographically for reproducibility.  Images are
+    built from the group's ``(perm, signs)`` pairs in Python floats, each
+    coordinate as ``s·c[perm[i]] + 0.0``: exact, with every zero ``+0.0``.
     """
-    import numpy as np
-    images = _build_group() @ c.as_array()
-    images = images[np.lexsort(images.T[::-1])]
+    v = c.as_tuple()
+    images = sorted(tuple(s * v[j] + 0.0 for j, s in zip(perm, signs))
+                    for perm, signs in _GROUP)
     # lexicographic order does not make near-duplicates adjacent, so each
-    # kept image drops every later one within the tolerance
-    keep = np.ones(len(images), dtype=bool)
-    for i in range(len(images)):
-        if keep[i]:
-            keep[i + 1:] &= (np.abs(images[i + 1:] - images[i]).max(axis=1)
-                             >= tol.eps_angle)
-    return [Correlation(*t) for t in images[keep].tolist()]
+    # kept image drops every later one within the tolerance; the first
+    # coordinate is sorted, so the scan stops where it alone is that far
+    eps = tol.eps_angle
+    keep = [True] * len(images)
+    for i, (a0, a1, a2, a3) in enumerate(images):
+        if not keep[i]:
+            continue
+        for j in range(i + 1, len(images)):
+            b0, b1, b2, b3 = images[j]
+            if b0 - a0 >= eps:
+                break
+            if abs(b1 - a1) < eps and abs(b2 - a2) < eps \
+                    and abs(b3 - a3) < eps:
+                keep[j] = False
+    return [Correlation(*img) for img, k in zip(images, keep) if k]

@@ -252,15 +252,12 @@ class DualCompletion(_Certificate):
         if abs(total - 2.0) > 1e-10:
             raise ValueError(f"diagonal sum {total!r} != 2")
 
-    def matrix(self) -> np.ndarray:
-        import numpy as np
+    def rows(self) -> tuple[tuple[float, ...], ...]:
         f11, f12, f21, f22 = self.f.as_tuple()
-        return np.array([
-            [self.p1, 0.0, -f11, -f12],
-            [0.0, self.p2, -f21, -f22],
-            [-f11, -f21, self.p3, 0.0],
-            [-f12, -f22, 0.0, self.p4],
-        ])
+        return ((self.p1, 0.0, -f11, -f12),
+                (0.0, self.p2, -f21, -f22),
+                (-f11, -f21, self.p3, 0.0),
+                (-f12, -f22, 0.0, self.p4))
 
 
 @dataclass(frozen=True)
@@ -298,7 +295,11 @@ def dual_completion(f: Functional,
                     tol: Tolerance = DEFAULT_TOLERANCE) -> DualCompletionResult:
     """The dual certificate that complementary slackness forces at the
     maximizer ``c*`` of ``f`` (see the module docstring); ``c*`` is the
-    even vertex on the classical branch, ``∇ sqrt(k/p)`` otherwise."""
+    even vertex on the classical branch, ``∇ sqrt(k/p)`` otherwise.
+
+    Raises :class:`ConsistencyError` when ``f`` is so large that the
+    balanced diagonal ``p2 = 1 - p1``, ``p4 = 1 - p3`` is not representable.
+    """
     entries = f.as_tuple()
     s, c_star = 0.0, (0.0, 0.0, 0.0, 0.0)  # zero functional: s = 0 at 0
     if max(abs(v) for v in entries) > 0.0:
@@ -309,7 +310,14 @@ def dual_completion(f: Functional,
             if verdict.quantum_case else verdict.vertex
     p1 = entries[0] * c_star[0] + entries[1] * c_star[1] + 0.5 * (1.0 - s)
     p3 = entries[0] * c_star[0] + entries[2] * c_star[2] + 0.5 * (1.0 - s)
-    witness = DualCompletion(f=f, p1=p1, p2=1.0 - p1, p3=p3, p4=1.0 - p3)
+    p2, p4 = 1.0 - p1, 1.0 - p3
+    if not abs(p1 + p2 + p3 + p4 - 2.0) <= 1e-10:
+        # |p1| or |p3| is so large (f about 1e16 and up) that 1 - p rounds
+        # the unit away
+        raise ConsistencyError(
+            f"the certificate diagonal cannot be balanced in floating point: "
+            f"p1 = {p1!r}, p3 = {p3!r}")
+    witness = DualCompletion(f=f, p1=p1, p2=p2, p3=p3, p4=p4)
     return DualCompletionResult(feasible=witness.is_psd(tol), witness=witness,
                                 support=s, maximizer=Correlation(*c_star))
 

@@ -225,6 +225,12 @@ class TestExitCodes:
         assert code == 1
         assert data["error"]["kind"] == "DegenerateAngles"
 
+    def test_unbalanceable_dual_certificate_is_domain_error(self, capsys):
+        code, data = run_cli(capsys, "dual", "--functional",
+                             "[3e150,1e150,2e150,-1e150]")
+        assert code == 1
+        assert data["error"]["kind"] == "ConsistencyError"
+
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["member", "--point", "[1,2"])
@@ -302,6 +308,20 @@ class TestStartWithoutNumpy:
         ["angles", "--angles", "[0.3,0.4,0.5,-1.2]"],
         ["expose", "--angles", "[0.3,0.4,0.5,-1.2]"],
         ["ncycle", "--point", "[1,1,1,1]", "--functional", "[1,0,0,0]"],
+        # rank and PSD by inertia counts, the orbit from tuples
+        pytest.param(["classify", "--point", "[1.0,0.8775825618903728,"
+                      "0.7648421872844885,0.3623577544766736]"],
+                     id="classify Q3"),  # cos(0, 0.5, 0.7, -1.2)
+        pytest.param(["classify", "--point", CHSH_JSON], id="classify Q4"),
+        pytest.param(["classify", "--point", "[1,1,1,-1]"],
+                     id="classify exterior"),
+        pytest.param(["complete", "--point", CHSH_JSON], id="complete Q4"),
+        pytest.param(["dual", "--functional", "[0.2,0.1,-0.3,0.1]"],
+                     id="dual inside"),
+        pytest.param(["dual", "--functional", "[1,1,1,1]"],
+                     id="dual outside"),
+        pytest.param(["orbit", "--point", "[0.1,-0.2,0.35,0.4]"],
+                     id="orbit generic"),
     ], ids=lambda argv: " ".join(argv[:1] + argv[1:2]))
     def test_scalar_subcommand(self, argv):
         child = subprocess.run([sys.executable, "-c", self._CHILD, *argv],

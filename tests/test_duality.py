@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qbody import (
     AngleTuple,
+    ConsistencyError,
     Correlation,
     Functional,
     NCYCLE_RESIDUAL_NAMES,
@@ -192,6 +193,12 @@ class TestDualCompletion:
 
     def test_infeasible_outside_polar(self):
         assert not dual_completion(Functional(1, 1, 1, 1)).feasible
+
+    def test_unbalanceable_diagonal_is_a_domain_error(self):
+        # p1 is about 5e149, so 1 - p1 loses the unit and the diagonal
+        # cannot sum to 2; this must not surface as a ValueError
+        with pytest.raises(ConsistencyError, match="cannot be balanced"):
+            dual_completion(Functional(3e150, 1e150, 2e150, -1e150))
 
     def test_agrees_with_dual_membership(self):
         rng = np.random.default_rng(97)
