@@ -228,16 +228,18 @@ def _count_above(rows, shift: float) -> int:
     while live:
         diag = off = 0.0
         p = q = r = live[0]
-        for m, i in enumerate(live):
+        rest = live  # the live indices after i
+        for i in live:
             row = a[i]
             x = abs(row[i])
             if x > diag:
                 diag, p = x, i
-            for j in live[m + 1:]:
+            rest = rest[1:]
+            for j in rest:
                 x = abs(row[j])
                 if x > off:
                     off, q, r = x, i, j
-        big = max(diag, off)
+        big = diag if diag > off else off
         if big == 0.0:
             break  # the rest is a zero block, whose eigenvalues are 0
         if not 1.0 / _SAFE <= big <= _SAFE:
@@ -246,17 +248,21 @@ def _count_above(rows, shift: float) -> int:
                 row = a[i]
                 for j in live:
                     row[j] = math.ldexp(row[j], -e)
-        # each step leaves the Schur complement, kept exactly symmetric
+        # each step leaves the Schur complement, kept exactly symmetric;
+        # ``rest`` runs over the live indices from i on
         if diag >= _BP_ALPHA * off:
             prow = a[p]
             d = prow[p]
-            above += d > 0.0
+            if d > 0.0:
+                above += 1
             live.remove(p)
-            for m, i in enumerate(live):
+            rest = live
+            for i in live:
                 row = a[i]
                 x = row[p] / d
-                for j in live[m:]:
+                for j in rest:
                     row[j] = a[j][i] = row[j] - x * prow[j]
+                rest = rest[1:]
         else:
             above += 1
             live.remove(q)
@@ -264,13 +270,15 @@ def _count_above(rows, shift: float) -> int:
             qrow, rrow = a[q], a[r]
             aqq, aqr, arr = qrow[q], qrow[r], rrow[r]
             det = aqq * arr - aqr * aqr
-            for m, i in enumerate(live):
+            rest = live
+            for i in live:
                 row = a[i]
                 # (wq, wr) = E⁻¹·(a_qi, a_ri) for the pivot block E
                 wq = (arr * row[q] - aqr * row[r]) / det
                 wr = (aqq * row[r] - aqr * row[q]) / det
-                for j in live[m:]:
+                for j in rest:
                     row[j] = a[j][i] = row[j] - (wq * qrow[j] + wr * rrow[j])
+                rest = rest[1:]
     return above
 
 

@@ -268,7 +268,7 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
                 model = quantum.QuantumModel.from_json_dict(json.load(fh))
         report = quantum.selftest_residuals(model)
         return {
-            "gamma": report.gamma.tolist(),
+            "gamma": report.gamma,
             "residual_bpsi": report.residual_bpsi,
             "residual_squares": report.residual_squares,
             "residual_anticommutator": report.residual_anticommutator,

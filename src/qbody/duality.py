@@ -220,10 +220,13 @@ def dual_member(f: Functional, oracle: Oracle = Oracle.SEMIALG,
     """Decide ``f ∈ Q°`` by mapping to the primal body.
 
     The primal verdict on ``2Hf`` and the support test ``support(f) ≤ 1``
-    must agree outside a 1e-8 band around the boundary.
+    must agree outside a 1e-8 band around the boundary.  A functional whose
+    ``2Hf`` leaves the float range raises :class:`ConsistencyError`.
     """
-    c = Correlation(*dual_transform(f.as_tuple(), TransformDirection.FROM_DUAL))
-    verdict = member(c, oracle, tol)
+    two_hf = dual_transform(f.as_tuple(), TransformDirection.FROM_DUAL)
+    if not all(map(math.isfinite, two_hf)):
+        raise ConsistencyError(f"2Hf overflows the float range: {two_hf!r}")
+    verdict = member(Correlation(*two_hf), oracle, tol)
     s = support(f)
     if (s <= 1.0) != verdict.inside:
         if abs(s - 1.0) > 1e-8 and abs(verdict.margin) > 1e-8:

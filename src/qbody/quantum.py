@@ -32,6 +32,17 @@ uniqueness (all on the cyclic subspace generated from ``psi``):
 Mixtures of distinct extreme models (block direct sums) break at least
 one of these relations by a macroscopic amount, which is what makes the
 relations a usable self-test.
+
+Two routes check, evaluate and self-test a model, chosen by its
+dimension ``d``.  Models with ``d ≤ 4`` (the family above and small
+hand-made models) run on Python floats in row tuples, so that these paths
+do not import numpy: the spectrum test counts eigenvalues by inertia
+(:func:`boundary._count_above`) and the self-test takes its bases from a
+one-sided Jacobi SVD.  Larger models (:func:`clifford_model` on R^64,
+mixtures of several components) run on numpy arrays.  Model fields hold
+what their builder made, row tuples from :func:`build_model` and
+:meth:`QuantumModel.from_json_dict`, arrays from :func:`clifford_model`
+and :func:`mixture_model`; each route converts what it is given on entry.
 """
 
 from __future__ import annotations
@@ -39,15 +50,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from operator import mul, neg
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     BadWeights,
+    ConsistencyError,
     Correlation,
     DimensionTooLarge,
     InvalidModel,
 )
-from .boundary import AngleTuple, GramSystem
+from .boundary import AngleTuple, GramSystem, _count_above
 
 __all__ = [
     "QuantumModel",
@@ -68,11 +81,27 @@ _COMMUTATOR_TOL = 1e-10
 _SPECTRUM_TOL = 1e-10
 _SYMMETRY_TOL = 1e-12
 
+# Models up to this dimension run on Python floats, larger ones on numpy.
+_SMALL_D = 4
+_OBSERVABLES = ("A1", "A2", "B1", "B2")
+_EPS = 2.0 ** -52  # float64 machine epsilon, as numpy's ``finfo``
+_JACOBI_SWEEPS = 30
+
+# The building blocks of :func:`build_model` as rows; ``reflection_matrix``
+# and ``SINGLET_PSI`` are their arrays.
+_EYE2 = ((1.0, 0.0), (0.0, 1.0))
+_SINGLET_ROW = tuple(x / math.sqrt(2.0) for x in (0.0, 1.0, -1.0, 0.0))
+
+
+def _reflection_rows(tau: float) -> tuple[tuple[float, float], ...]:
+    ct, st = math.cos(tau), math.sin(tau)
+    return ((ct, st), (st, -ct))
+
 
 @functools.cache
 def _singlet_psi() -> np.ndarray:
     import numpy as np
-    return np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    return np.array(_SINGLET_ROW)
 
 
 def __getattr__(name: str):
@@ -88,74 +117,80 @@ def __getattr__(name: str):
 def reflection_matrix(tau: float) -> np.ndarray:
     """The planar reflection ``M(tau)``; symmetric, orthogonal, trace 0."""
     import numpy as np
-    ct, st = math.cos(tau), math.sin(tau)
-    return np.array([[ct, st], [st, -ct]])
+    return np.array(_reflection_rows(tau))
+
+
+def _json_row(value, d: int, name: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != d or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            for x in value):
+        raise ValueError(f"model {name} must hold rows of {d} numbers")
+    try:
+        return tuple(map(float, value))
+    except OverflowError:
+        raise ValueError(f"model {name} has an entry beyond float range") \
+            from None
+
+
+def _as_lists(x) -> list:
+    """A vector or matrix field, numpy array or row tuples, as lists."""
+    if hasattr(x, "tolist"):
+        return x.tolist()
+    return [list(row) if isinstance(row, tuple) else row for row in x]
 
 
 @dataclass(frozen=True)
 class QuantumModel:
     """State vector plus four commuting-pair observables on R^d."""
 
-    psi: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
+    psi: Sequence[float]
+    A1: Sequence[Sequence[float]]
+    A2: Sequence[Sequence[float]]
+    B1: Sequence[Sequence[float]]
+    B2: Sequence[Sequence[float]]
     d: int
 
-    def observables(self) -> tuple[np.ndarray, ...]:
+    def observables(self) -> tuple:
         return (self.A1, self.A2, self.B1, self.B2)
 
     def validate(self) -> None:
         """Check the defining hypotheses; raise :class:`InvalidModel`."""
-        import numpy as np
-        if self.psi.shape != (self.d,):
-            raise InvalidModel(f"psi shape {self.psi.shape} != ({self.d},)")
-        norm = float(np.linalg.norm(self.psi))
-        if abs(norm - 1.0) > _PSI_NORM_TOL:
-            raise InvalidModel(f"|psi| = {norm!r} not normalized")
-        for name, X in zip(("A1", "A2", "B1", "B2"), self.observables()):
-            if X.shape != (self.d, self.d):
-                raise InvalidModel(f"{name} shape {X.shape}")
-            if np.abs(X - X.T).max() > _SYMMETRY_TOL:
-                raise InvalidModel(f"{name} not symmetric")
-            eigs = np.linalg.eigvalsh(X)
-            if eigs[0] < -1.0 - _SPECTRUM_TOL or eigs[-1] > 1.0 + _SPECTRUM_TOL:
-                raise InvalidModel(
-                    f"{name} spectrum [{eigs[0]!r}, {eigs[-1]!r}] leaves [-1, 1]")
-        for A in (self.A1, self.A2):
-            for B in (self.B1, self.B2):
-                comm = A @ B - B @ A
-                if np.abs(comm).max() > _COMMUTATOR_TOL:
-                    raise InvalidModel(
-                        f"commutator norm {np.abs(comm).max()!r}")
+        _checked(self)
 
     def to_json_dict(self) -> dict:
         """Row-major JSON export of the model."""
-        return {
-            "d": self.d,
-            "psi": self.psi.tolist(),
-            "A1": self.A1.tolist(),
-            "A2": self.A2.tolist(),
-            "B1": self.B1.tolist(),
-            "B2": self.B2.tolist(),
-        }
+        return {"d": self.d, "psi": _as_lists(self.psi),
+                **{name: _as_lists(X)
+                   for name, X in zip(_OBSERVABLES, self.observables())}}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuantumModel":
-        import numpy as np
-        d = int(data["d"])
-        return cls(psi=np.asarray(data["psi"], dtype=float),
-                   A1=np.asarray(data["A1"], dtype=float),
-                   A2=np.asarray(data["A2"], dtype=float),
-                   B1=np.asarray(data["B1"], dtype=float),
-                   B2=np.asarray(data["B2"], dtype=float),
-                   d=d)
+        """The model of a :meth:`to_json_dict` document, in row tuples.
+
+        Raises ``ValueError`` on a document that is not a model: not an
+        object, a missing key, a ``d`` that is not a positive integer, or an
+        entry that is not a number (booleans included) or out of shape.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("a model must be a JSON object")
+        missing = [k for k in ("d", "psi") + _OBSERVABLES if k not in data]
+        if missing:
+            raise ValueError(f"model lacks {', '.join(missing)}")
+        d = data["d"]
+        if type(d) is not int or d < 1:
+            raise ValueError(f"model d must be a positive integer, got {d!r}")
+        mats = {}
+        for name in _OBSERVABLES:
+            rows = data[name]
+            if not isinstance(rows, list) or len(rows) != d:
+                raise ValueError(f"model {name} must hold {d} rows")
+            mats[name] = tuple(_json_row(row, d, name) for row in rows)
+        return cls(psi=_json_row(data["psi"], d, "psi"), d=d, **mats)
 
 
 @dataclass(frozen=True)
 class SelfTestReport:
-    gamma: np.ndarray
+    gamma: tuple[tuple[float, float], tuple[float, float]]
     residual_bpsi: float
     residual_squares: float
     residual_anticommutator: float
@@ -163,48 +198,29 @@ class SelfTestReport:
     u_value: float
 
 
+def _kron(a, b) -> tuple[tuple[float, ...], ...]:
+    """Kronecker product of two matrices given as row tuples."""
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
 def build_model(t: AngleTuple) -> QuantumModel:
     """The standard 4-dimensional model realizing the cosines of ``t``.
 
     ``t`` met its sum constraint at its own tolerance when it was built.
     """
-    import numpy as np
-    eye2 = np.eye(2)
-    A1 = np.kron(reflection_matrix(t.alpha), eye2)
-    A2 = np.kron(reflection_matrix(-t.gamma), eye2)
-    B1 = np.kron(eye2, reflection_matrix(math.pi))
-    B2 = np.kron(eye2, reflection_matrix(t.alpha + t.beta + math.pi))
-    return QuantumModel(psi=_singlet_psi().copy(), A1=A1, A2=A2, B1=B1, B2=B2, d=4)
+    return QuantumModel(
+        psi=_SINGLET_ROW,
+        A1=_kron(_reflection_rows(t.alpha), _EYE2),
+        A2=_kron(_reflection_rows(-t.gamma), _EYE2),
+        B1=_kron(_EYE2, _reflection_rows(math.pi)),
+        B2=_kron(_EYE2, _reflection_rows(t.alpha + t.beta + math.pi)),
+        d=4)
 
 
 def correlations_of(m: QuantumModel) -> Correlation:
     """Evaluate ``c_ij = <psi| A_i B_j psi>`` after validating the model."""
-    m.validate()
-    psi = m.psi
-    vals = []
-    for A in (m.A1, m.A2):
-        for B in (m.B1, m.B2):
-            vals.append(float(psi @ (A @ (B @ psi))))
-    return Correlation(*vals)
-
-
-# ---------------------------------------------------------------------------
-# Self-testing residuals
-# ---------------------------------------------------------------------------
-
-def _cyclic_basis(m: QuantumModel) -> np.ndarray:
-    """Orthonormal basis of the span of words of length <= 3 applied to psi."""
-    import numpy as np
-    ops = m.observables()
-    vectors = [m.psi]
-    frontier = [m.psi]
-    for _ in range(3):
-        frontier = [X @ v for X in ops for v in frontier]
-        vectors.extend(frontier)
-    stack = np.array(vectors).T  # d x n_words
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    keep = s > 1e-10 * max(1.0, float(s[0]))
-    return u[:, keep]
+    route, psi, obs = _checked(m)
+    return Correlation(*route.correlations(psi, obs))
 
 
 def selftest_residuals(m: QuantumModel) -> SelfTestReport:
@@ -216,11 +232,284 @@ def selftest_residuals(m: QuantumModel) -> SelfTestReport:
     gamma is recovered by least squares on span{A1 psi, A2 psi}, so
     off-manifold models yield informative residuals instead of errors.
     """
-    import numpy as np
-    m.validate()
+    route, psi, obs = _checked(m)
+    return route.selftest(psi, obs, m.d)
+
+
+class _Route(NamedTuple):
+    """One representation of a model's fields and the code that runs on it."""
+
+    fields: Callable        # model -> (psi, observables), converted
+    validate: Callable      # (psi, observables, d) -> None, or InvalidModel
+    correlations: Callable  # (psi, observables) -> the four c_ij
+    selftest: Callable      # (psi, observables, d) -> SelfTestReport
+
+
+def _checked(m: QuantumModel) -> tuple[_Route, object, tuple]:
+    """The model's route and its fields in that route's form, validated."""
+    route = _ROWS if m.d <= _SMALL_D else _ARRAYS
+    psi, obs = route.fields(m)
+    route.validate(psi, obs, m.d)
+    return route, psi, obs
+
+
+# ---------------------------------------------------------------------------
+# The row route: Python floats, d ≤ 4
+# ---------------------------------------------------------------------------
+
+def _dot(x, y) -> float:
+    return sum(map(mul, x, y))
+
+
+def _matvec(X, v) -> tuple[float, ...]:
+    return tuple([sum(map(mul, row, v)) for row in X])
+
+
+def _matmul(X, Y) -> tuple[tuple[float, ...], ...]:
+    cols = tuple(zip(*Y))
+    return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in X)
+
+
+def _minus_identity(X, lam: float) -> tuple[tuple[float, ...], ...]:
+    """``X - lam·1``."""
+    return tuple(tuple(x - lam if i == j else x for j, x in enumerate(row))
+                 for i, row in enumerate(X))
+
+
+def _max_abs(X) -> float:
+    return max(abs(x) for row in X for x in row)
+
+
+_NOT_NUMBERS = "psi must be a vector and the observables matrices of numbers"
+
+
+def _fields_rows(m: QuantumModel):
+    """The fields as row tuples: numpy arrays converted, others as given."""
     psi = m.psi
-    A1, A2, B1, B2 = m.observables()
-    basis = _cyclic_basis(m)
+    try:
+        return (tuple(psi.tolist()) if hasattr(psi, "tolist") else psi,
+                tuple(tuple(map(tuple, X.tolist())) if hasattr(X, "tolist")
+                      else X for X in m.observables()))
+    except TypeError:  # an array of the wrong rank
+        raise InvalidModel(_NOT_NUMBERS) from None
+
+
+def _validate_rows(psi, obs, d: int) -> None:
+    try:
+        if len(psi) != d:
+            raise InvalidModel(f"psi has {len(psi)} entries, expected {d}")
+        for name, X in zip(_OBSERVABLES, obs):
+            if len(X) != d or any(len(row) != d for row in X):
+                raise InvalidModel(f"{name} is not {d}x{d}")
+        # a sum that fails names an entry that is not a number; a finite
+        # sum proves every entry finite, and only a sum that is not needs
+        # the entries looked at one by one
+        finite = math.isfinite(sum(psi) + sum([sum(map(sum, X)) for X in obs]))
+    except TypeError:
+        raise InvalidModel(_NOT_NUMBERS) from None
+    if not finite and not (all(map(math.isfinite, psi)) and all(
+            all(map(math.isfinite, row)) for X in obs for row in X)):
+        raise InvalidModel("model entries must be finite")
+    norm = math.hypot(*psi)
+    if abs(norm - 1.0) > _PSI_NORM_TOL:
+        raise InvalidModel(f"|psi| = {norm!r} not normalized")
+    exact, negated = [], []
+    bound = 1.0 + _SPECTRUM_TOL
+    for name, X in zip(_OBSERVABLES, obs):
+        # only a tuple of tuples can equal its transpose
+        exact.append(X == tuple(zip(*X)))
+        if not exact[-1] and max((abs(X[i][j] - X[j][i]) for i in range(d)
+                                  for j in range(i)), default=0.0) \
+                > _SYMMETRY_TOL:
+            raise InvalidModel(f"{name} not symmetric")
+        negated.append(tuple(tuple(map(neg, row)) for row in X))
+        if _count_above(X, bound) or _count_above(negated[-1], bound):
+            raise InvalidModel(f"{name} spectrum leaves [-1, 1]")
+    for A, sym_a in zip(obs[:2], exact[:2]):
+        for B, sym_b, neg_b in zip(obs[2:], exact[2:], negated[2:]):
+            if sym_a and sym_b:
+                # (B·A)_ij = (A·B)_ji, so the commutator is antisymmetric
+                # with the entries A_i·B_j - A_j·B_i above its diagonal
+                worst = max((abs(_dot(A[i] + A[j], B[j] + neg_b[i]))
+                             for i in range(d) for j in range(i)),
+                            default=0.0)
+            else:
+                worst = max(abs(x - y) for ra, rb in zip(_matmul(A, B),
+                                                         _matmul(B, A))
+                            for x, y in zip(ra, rb))
+            if worst > _COMMUTATOR_TOL:
+                raise InvalidModel(f"commutator norm {worst!r}")
+
+
+def _correlations_rows(psi, obs) -> list[float]:
+    A1, A2, B1, B2 = obs
+    b_psi = [_matvec(B, psi) for B in (B1, B2)]
+    return [_dot(psi, _matvec(A, v)) for A in (A1, A2) for v in b_psi]
+
+
+def _hestenes(vectors) -> tuple[list[list[float]], list[list[float]]]:
+    """One-sided (Hestenes) Jacobi orthogonalization.
+
+    Rotates the vectors ``x_i`` pairwise into ``y_k = Σ_i V_ik x_i`` with
+    ``V`` orthogonal until every pair is orthogonal to working precision,
+    and returns the ``y_k`` and the columns of ``V``.  For the matrix
+    ``X`` with columns ``x_i`` this is the SVD ``X = Σ_k |y_k| u_k v_kᵀ``
+    with ``u_k = y_k/|y_k|`` and ``v_k`` the ``k``-th column of ``V``; for
+    the matrix with rows ``x_i`` the columns of ``V`` are its left singular
+    vectors.  Small singular values keep an absolute accuracy of about
+    ``eps·|X|``, which a Gram matrix ``X·Xᵀ`` would square away.
+    """
+    n = len(vectors)
+    ys = [list(x) for x in vectors]
+    vs = [[float(i == k) for i in range(n)] for k in range(n)]
+    tol = len(ys[0]) * _EPS
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                x, y = ys[p], ys[q]
+                alpha, beta, gamma = _dot(x, x), _dot(y, y), _dot(x, y)
+                if abs(gamma) <= tol * math.sqrt(alpha * beta):
+                    continue
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                for pair in (ys, vs):
+                    x, y = pair[p], pair[q]
+                    pair[p] = [c * a - s * b for a, b in zip(x, y)]
+                    pair[q] = [s * a + c * b for a, b in zip(x, y)]
+                rotated = True
+        if not rotated:
+            return ys, vs
+    raise ConsistencyError(
+        f"Jacobi SVD did not converge in {_JACOBI_SWEEPS} sweeps")
+
+
+def _selftest_rows(psi, obs, d: int) -> SelfTestReport:
+    A1, A2, B1, B2 = obs
+    # the cyclic basis: left singular vectors of the d x 85 word stack
+    vectors = [psi]
+    frontier = [psi]
+    for _ in range(3):
+        frontier = [_matvec(X, v) for X in obs for v in frontier]
+        vectors.extend(frontier)
+    rows, vs = _hestenes(list(zip(*vectors)))
+    sigma = [math.hypot(*row) for row in rows]
+    cut = 1e-10 * max(1.0, max(sigma))
+    basis = [v for v, sk in zip(vs, sigma) if sk > cut]
+    r = len(basis)
+
+    def restrict(X):
+        xb = [_matvec(X, b) for b in basis]
+        return [[_dot(bk, v) for v in xb] for bk in basis]
+
+    # minimum-norm least squares with numpy lstsq's singular value cut
+    a_vecs = (_matvec(A1, psi), _matvec(A2, psi))
+    ws, v_cols = _hestenes(a_vecs)
+    sigma = [math.hypot(*w) for w in ws]
+    cut = max(d, 2) * _EPS * max(sigma)
+    gamma = []
+    residual_bpsi = 0.0
+    for B in (B1, B2):
+        target = _matvec(B, psi)
+        coeff = (0.0, 0.0)
+        for w, v, sk in zip(ws, v_cols, sigma):
+            if sk > cut:
+                scale = _dot(w, target) / (sk * sk)
+                coeff = (coeff[0] + scale * v[0], coeff[1] + scale * v[1])
+        gamma.append(coeff)
+        residual_bpsi = max(residual_bpsi, math.hypot(*(
+            b - (a1 * coeff[0] + a2 * coeff[1])
+            for b, a1, a2 in zip(target, *a_vecs))))
+
+    residual_squares = max(
+        _max_abs(restrict(_minus_identity(_matmul(X, X), 1.0))) for X in obs)
+
+    u_value = _dot(psi, _matvec(A1, _matvec(A2, psi)))
+    A1A2, A2A1 = _matmul(A1, A2), _matmul(A2, A1)
+    jordan = _minus_identity(
+        tuple(tuple(x + y for x, y in zip(r12, r21))
+              for r12, r21 in zip(A1A2, A2A1)), 2.0 * u_value)
+    residual_anticommutator = _max_abs(restrict(jordan))
+
+    eye = tuple(tuple(float(i == j) for j in range(d)) for i in range(d))
+    words = (eye, A1, A2, _matmul(A1, A1), A1A2, A2A1, _matmul(A2, A2))
+    residual_tracial = max(
+        abs(_dot(psi, _matvec(M, psi))
+            - sum(_dot(b, _matvec(M, b)) for b in basis) / r)
+        for M in words)
+
+    return SelfTestReport(gamma=tuple(gamma), residual_bpsi=residual_bpsi,
+                          residual_squares=residual_squares,
+                          residual_anticommutator=residual_anticommutator,
+                          residual_tracial=residual_tracial,
+                          u_value=u_value)
+
+
+_ROWS = _Route(_fields_rows, _validate_rows, _correlations_rows,
+               _selftest_rows)
+
+
+# ---------------------------------------------------------------------------
+# The array route: numpy, d > 4
+# ---------------------------------------------------------------------------
+
+def _fields_arrays(m: QuantumModel):
+    import numpy as np
+    return (np.asarray(m.psi, dtype=float),
+            tuple(np.asarray(X, dtype=float) for X in m.observables()))
+
+
+def _validate_arrays(psi, obs, d: int) -> None:
+    import numpy as np
+    if psi.shape != (d,):
+        raise InvalidModel(f"psi shape {psi.shape} != ({d},)")
+    if not all(np.isfinite(x).all() for x in (psi, *obs)):
+        raise InvalidModel("model entries must be finite")
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > _PSI_NORM_TOL:
+        raise InvalidModel(f"|psi| = {norm!r} not normalized")
+    for name, X in zip(_OBSERVABLES, obs):
+        if X.shape != (d, d):
+            raise InvalidModel(f"{name} shape {X.shape}")
+        if np.abs(X - X.T).max() > _SYMMETRY_TOL:
+            raise InvalidModel(f"{name} not symmetric")
+        eigs = np.linalg.eigvalsh(X)
+        if eigs[0] < -1.0 - _SPECTRUM_TOL or eigs[-1] > 1.0 + _SPECTRUM_TOL:
+            raise InvalidModel(
+                f"{name} spectrum [{eigs[0]!r}, {eigs[-1]!r}] leaves [-1, 1]")
+    for A in obs[:2]:
+        for B in obs[2:]:
+            comm = A @ B - B @ A
+            if np.abs(comm).max() > _COMMUTATOR_TOL:
+                raise InvalidModel(
+                    f"commutator norm {np.abs(comm).max()!r}")
+
+
+def _correlations_arrays(psi, obs) -> list[float]:
+    A1, A2, B1, B2 = obs
+    return [float(psi @ (A @ (B @ psi))) for A in (A1, A2) for B in (B1, B2)]
+
+
+def _cyclic_basis(psi, obs) -> np.ndarray:
+    """Orthonormal basis of the span of words of length <= 3 applied to psi."""
+    import numpy as np
+    vectors = [psi]
+    frontier = [psi]
+    for _ in range(3):
+        frontier = [X @ v for X in obs for v in frontier]
+        vectors.extend(frontier)
+    stack = np.array(vectors).T  # d x n_words
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    keep = s > 1e-10 * max(1.0, float(s[0]))
+    return u[:, keep]
+
+
+def _selftest_arrays(psi, obs, d: int) -> SelfTestReport:
+    import numpy as np
+    A1, A2, B1, B2 = obs
+    basis = _cyclic_basis(psi, obs)
     r = basis.shape[1]
 
     def restrict(X: np.ndarray) -> np.ndarray:
@@ -236,9 +525,9 @@ def selftest_residuals(m: QuantumModel) -> SelfTestReport:
         residual_bpsi = max(residual_bpsi,
                             float(np.linalg.norm(target - a_vecs @ coeff)))
 
-    eye = np.eye(m.d)
+    eye = np.eye(d)
     residual_squares = max(
-        float(np.abs(restrict(X @ X - eye)).max()) for X in m.observables())
+        float(np.abs(restrict(X @ X - eye)).max()) for X in obs)
 
     u_value = float(psi @ (A1 @ (A2 @ psi)))
     jordan = A1 @ A2 + A2 @ A1 - 2.0 * u_value * eye
@@ -249,11 +538,16 @@ def selftest_residuals(m: QuantumModel) -> SelfTestReport:
         abs(float(psi @ (M @ psi)) - float(np.trace(restrict(M))) / r)
         for M in words)
 
-    return SelfTestReport(gamma=gamma, residual_bpsi=residual_bpsi,
+    return SelfTestReport(gamma=tuple(map(tuple, gamma.tolist())),
+                          residual_bpsi=residual_bpsi,
                           residual_squares=residual_squares,
                           residual_anticommutator=residual_anticommutator,
                           residual_tracial=residual_tracial,
                           u_value=u_value)
+
+
+_ARRAYS = _Route(_fields_arrays, _validate_arrays, _correlations_arrays,
+                 _selftest_arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -324,26 +618,19 @@ def mixture_model(models: Sequence[tuple[float, QuantumModel]]) -> QuantumModel:
 
     dims = [m.d for _, m in models]
     d = sum(dims)
-    psi = np.concatenate([math.sqrt(w) * m.psi for w, m in models])
-    blocks = {"A1": [], "A2": [], "B1": [], "B2": []}
-    for _, m in models:
-        blocks["A1"].append(m.A1)
-        blocks["A2"].append(m.A2)
-        blocks["B1"].append(m.B1)
-        blocks["B2"].append(m.B2)
+    psi = np.concatenate([math.sqrt(w) * np.asarray(m.psi, dtype=float)
+                          for w, m in models])
 
-    def direct_sum(mats: list[np.ndarray]) -> np.ndarray:
+    def direct_sum(mats) -> np.ndarray:
         out = np.zeros((d, d))
         pos = 0
         for mat in mats:
+            mat = np.asarray(mat, dtype=float)
             n = mat.shape[0]
             out[pos:pos + n, pos:pos + n] = mat
             pos += n
         return out
 
-    return QuantumModel(psi=psi,
-                        A1=direct_sum(blocks["A1"]),
-                        A2=direct_sum(blocks["A2"]),
-                        B1=direct_sum(blocks["B1"]),
-                        B2=direct_sum(blocks["B2"]),
-                        d=d)
+    return QuantumModel(psi=psi, d=d, **{
+        name: direct_sum([getattr(m, name) for _, m in models])
+        for name in _OBSERVABLES})

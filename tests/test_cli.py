@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import qbody
+from qbody import AngleTuple, build_model
 from qbody.cli import main
 
 from helpers import SQRT2
@@ -231,6 +232,45 @@ class TestExitCodes:
         assert code == 1
         assert data["error"]["kind"] == "ConsistencyError"
 
+    def test_overflowing_dual_transform_is_domain_error(self, capsys):
+        code, data = run_cli(capsys, "dual", "--functional",
+                             "[1.7e308,1e308,1.5e308,-1e308]")
+        assert code == 1
+        assert data["error"]["kind"] == "ConsistencyError"
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda doc: {}, id="empty object"),
+        pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "B2"},
+                     id="missing B2"),
+        pytest.param(lambda doc: [1, 2], id="array"),
+        pytest.param(lambda doc: {**doc, "psi": [False, *doc["psi"][1:]]},
+                     id="boolean entry"),
+        pytest.param(lambda doc: {**doc, "d": True}, id="boolean d"),
+        pytest.param(lambda doc: {**doc, "d": 4.5}, id="non-integer d"),
+        pytest.param(lambda doc: {**doc, "d": 2}, id="d against shapes"),
+        pytest.param(lambda doc: {**doc, "A1": doc["A1"][:3]},
+                     id="three rows"),
+        pytest.param(lambda doc: {**doc, "psi": [10 ** 400, 0, 0, 0]},
+                     id="integer beyond float range"),
+    ])
+    def test_malformed_model_file_is_two(self, capsys, tmp_path, edit):
+        doc = build_model(AngleTuple(0.3, 0.4, 0.5, -1.2)).to_json_dict()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(edit(doc)))
+        with pytest.raises(SystemExit) as info:
+            main(["selftest", "--model", str(path)])
+        assert info.value.code == 2
+        assert "model" in capsys.readouterr().err
+
+    def test_non_finite_model_file_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"d": 2, "psi": [NaN, 0], "A1": [[1, 0], [0, 1]], '
+                        '"A2": [[1, 0], [0, 1]], "B1": [[1, 0], [0, 1]], '
+                        '"B2": [[1, 0], [0, 1]]}')
+        code, data = run_cli(capsys, "selftest", "--model", str(path))
+        assert code == 1
+        assert data["error"]["kind"] == "InvalidModel"
+
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["member", "--point", "[1,2"])
@@ -322,11 +362,32 @@ class TestStartWithoutNumpy:
                      id="dual outside"),
         pytest.param(["orbit", "--point", "[0.1,-0.2,0.35,0.4]"],
                      id="orbit generic"),
+        # models with d <= 4 on Python floats, self-tests by Jacobi SVD
+        *(pytest.param([command, "--angles", angles], id=f"{command} {name}")
+          for command in ("model", "selftest")
+          for name, angles in (
+              ("CHSH", "[0.7853981633974483,0.7853981633974483,"
+                       "0.7853981633974483,-2.356194490192345]"),
+              ("vertex", "[0,0,0,0]"),
+              ("Q2", "[0.3,0.4,-0.3,-0.4]"))),
     ], ids=lambda argv: " ".join(argv[:1] + argv[1:2]))
     def test_scalar_subcommand(self, argv):
         child = subprocess.run([sys.executable, "-c", self._CHILD, *argv],
                                capture_output=True, text=True,
                                env=_child_env(), timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert "error" not in json.loads(child.stdout)
+
+    def test_selftest_of_small_model_file(self, capsys, tmp_path):
+        code, payload = run_cli(capsys, "model", "--angles",
+                                "[0.3,0.4,0.5,-1.2]")
+        assert code == 0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        child = subprocess.run(
+            [sys.executable, "-c", self._CHILD, "selftest", "--model",
+             str(path)],
+            capture_output=True, text=True, env=_child_env(), timeout=60)
         assert child.returncode == 0, child.stderr
         assert "error" not in json.loads(child.stdout)
 

@@ -175,6 +175,12 @@ class TestDualMember:
     def test_outside(self):
         assert not dual_member(Functional(1, 1, 1, 1)).inside
 
+    def test_overflowing_transform_is_a_domain_error(self):
+        # 2Hf sums entries near the float maximum to inf; this must not
+        # surface as the ValueError of a non-finite Correlation
+        with pytest.raises(ConsistencyError, match="overflows"):
+            dual_member(Functional(1.7e308, 1e308, 1.5e308, -1e308))
+
 
 class TestDualCompletion:
     def test_boundary_functional_witness(self):

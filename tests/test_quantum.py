@@ -1,4 +1,6 @@
+import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from qbody import (
     selftest_residuals,
     solve_completion,
 )
+from qbody import quantum
 from qbody.quantum import (
     CLIFFORD_GENERATORS,
     QuantumModel,
@@ -211,3 +214,189 @@ class TestAngleValidation:
         assert good.canonical() == good
         with pytest.raises(AngleSumViolation):
             AngleTuple(0.2, 0.3, 0.4, 0.9)
+
+
+# ---------------------------------------------------------------------------
+# The Python-float route (d <= 4) against the numpy route
+# ---------------------------------------------------------------------------
+
+VERTEX_ANGLES = [AngleTuple(*(math.pi * k for k in ks))
+                 for ks in product((0, 1), repeat=4) if sum(ks) % 2 == 0]
+
+
+def _array_model(t: AngleTuple) -> QuantumModel:
+    """The model of ``build_model`` in numpy arrays, built with np.kron."""
+    eye2 = np.eye(2)
+    return QuantumModel(
+        psi=SINGLET_PSI.copy(),
+        A1=np.kron(reflection_matrix(t.alpha), eye2),
+        A2=np.kron(reflection_matrix(-t.gamma), eye2),
+        B1=np.kron(eye2, reflection_matrix(math.pi)),
+        B2=np.kron(eye2, reflection_matrix(t.alpha + t.beta + math.pi)),
+        d=4)
+
+
+def _on_arrays(m: QuantumModel):
+    """The numpy route's validated fields of any model, whatever its d."""
+    psi, obs = quantum._ARRAYS.fields(m)
+    quantum._ARRAYS.validate(psi, obs, m.d)
+    return psi, obs
+
+
+def _stratum_angles(rng, n: int) -> list[AngleTuple]:
+    """Angle tuples of Q1, Q2, Q3 and Q4 points and of arbitrary tuples,
+    permuted and with an even number of angles shifted by pi (images under
+    the symmetry group), and some shifted by 2 pi."""
+    out = []
+    while len(out) < n:
+        kind = len(out) % 5
+        b, g = (float(x) for x in rng.uniform(0.05, math.pi - 0.05, size=2))
+        if kind == 0:
+            angles = [0.0, 0.0, 0.0, 0.0]
+        elif kind == 1:
+            angles = [0.0, b, -b, 0.0]
+        elif kind == 2:
+            angles = [0.0, b, g, -(b + g)]
+        elif kind == 3:
+            angles = list(tetra_angles(rng, 1)[0].as_tuple())
+        else:
+            a, b, g = (float(x) for x in rng.uniform(-7.0, 7.0, size=3))
+            angles = [a, b, g, -(a + b + g)]
+        angles = [angles[i] for i in rng.permutation(4)]
+        flips = rng.integers(0, 2, size=4)
+        flips[0] ^= int(flips.sum()) % 2
+        turns = rng.integers(-1, 2, size=4) * (rng.uniform() < 0.2)
+        turns[0] -= int(turns.sum())
+        out.append(AngleTuple(*(x + math.pi * f + 2 * math.pi * k
+                                for x, f, k in zip(angles, flips, turns))))
+    return out
+
+
+def _model_stdout(m: QuantumModel, correlations) -> str:
+    payload = m.to_json_dict()
+    payload["correlations"] = list(correlations)
+    return json.dumps(payload)
+
+
+class TestRowRoute:
+    def test_model_output_matches_array_route(self):
+        # byte for byte, signed zeros included, as ``qbody model`` prints it
+        rng = np.random.default_rng(211)
+        tuples = [CHSH_ANGLES, *VERTEX_ANGLES, *_stratum_angles(rng, 10_000)]
+        for t in tuples:
+            rows, arrays = build_model(t), _array_model(t)
+            assert _model_stdout(rows, correlations_of(rows).as_tuple()) \
+                == _model_stdout(arrays, quantum._ARRAYS.correlations(
+                    *quantum._ARRAYS.fields(arrays))), t
+
+    def test_selftest_matches_array_route(self):
+        rng = np.random.default_rng(223)
+        tuples = [CHSH_ANGLES, *VERTEX_ANGLES,
+                  AngleTuple(0.3, 0.4, -0.3, -0.4), *_stratum_angles(rng, 300)]
+        for t in tuples:
+            m = build_model(t)
+            got = selftest_residuals(m)
+            ref = quantum._ARRAYS.selftest(*_on_arrays(m), m.d)
+            assert isinstance(got.gamma, tuple) and isinstance(ref.gamma, tuple)
+            pairs = list(zip(sum(got.gamma, ()), sum(ref.gamma, ())))
+            pairs += [(getattr(got, name), getattr(ref, name)) for name in (
+                "residual_bpsi", "residual_squares",
+                "residual_anticommutator", "residual_tracial", "u_value")]
+            for value, expected in pairs:
+                assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    def test_rank_deficient_gamma_is_minimum_norm(self):
+        # A1 = A2 at vertices and on this Q2 edge: of all gamma with
+        # B_j psi = gamma_j1 A1 psi + gamma_j2 A2 psi the shortest is even
+        for t in (AngleTuple(0, 0, 0, 0), AngleTuple(0.3, 0.4, -0.3, -0.4)):
+            for g1, g2 in selftest_residuals(build_model(t)).gamma:
+                assert g1 == pytest.approx(g2, abs=1e-15)
+
+    def test_small_array_models_take_the_row_route(self):
+        # A2 psi = -A1 psi: the shortest gamma splits each row evenly
+        report = selftest_residuals(_scalar_model([1, -1, 1, -1]))
+        assert sum(report.gamma, ()) == pytest.approx((0.5, -0.5, -0.5, 0.5),
+                                                      abs=1e-15)
+        assert correlations_of(_array_model(CHSH_ANGLES)) \
+            == correlations_of(build_model(CHSH_ANGLES))
+
+    def test_mixtures_do_not_depend_on_component_fields(self):
+        pairs = [(0.3, CHSH_ANGLES), (0.7, AngleTuple(0.9, 0.7, 0.5, -2.1))]
+        rows = mixture_model([(w, build_model(t)) for w, t in pairs])
+        arrays = mixture_model([(w, _array_model(t)) for w, t in pairs])
+        assert rows.d == arrays.d == 8
+        for x, y in zip((rows.psi, *rows.observables()),
+                        (arrays.psi, *arrays.observables())):
+            assert x.tobytes() == y.tobytes()
+        assert correlations_of(rows) == correlations_of(arrays)
+        assert selftest_residuals(rows) == selftest_residuals(arrays)
+
+    def test_json_round_trip_of_large_model(self):
+        gs = gram_vectors(solve_completion(CHSH_POINT).witness)
+        model = clifford_model(gs)
+        clone = QuantumModel.from_json_dict(model.to_json_dict())
+        assert isinstance(clone.psi, tuple)
+        assert correlations_of(clone) == correlations_of(model)
+
+
+def _two_dim(psi=(1.0, 0.0), A1=((1.0, 0.0), (0.0, 1.0)), A2=None, B1=None,
+             B2=None) -> QuantumModel:
+    eye = ((1.0, 0.0), (0.0, 1.0))
+    return QuantumModel(psi=psi, A1=A1, A2=A2 or eye, B1=B1 or eye,
+                        B2=B2 or eye, d=2)
+
+
+SX = ((0.0, 1.0), (1.0, 0.0))
+SZ = ((1.0, 0.0), (0.0, -1.0))
+
+
+class TestValidation:
+    @pytest.mark.parametrize("model", [
+        pytest.param(_two_dim(psi=(1.0, 1.0)), id="norm"),
+        pytest.param(_two_dim(psi=(1.0, 0.0, 0.0)), id="psi shape"),
+        pytest.param(_two_dim(A1=((1.0, 0.0),)), id="observable shape"),
+        pytest.param(_two_dim(A1=((0.0, 1.0), (1.0 + 1e-9, 0.0))),
+                     id="asymmetric"),
+        pytest.param(_two_dim(A1=((1.0 + 1e-9, 0.0), (0.0, 1.0))),
+                     id="spectrum above"),
+        pytest.param(_two_dim(A1=((0.0, 2.0), (2.0, 0.0))),
+                     id="spectrum below"),
+        pytest.param(_two_dim(A1=SX, B1=SZ), id="commutator"),
+        pytest.param(_two_dim(A1=SX, B1=((1.0, 1e-13), (0.0, -1.0))),
+                     id="commutator of inexactly symmetric"),
+        pytest.param(_two_dim(psi=(math.nan, 0.0)), id="NaN psi"),
+        pytest.param(_two_dim(A1=((math.inf, 0.0), (0.0, 1.0))),
+                     id="infinite entry"),
+        pytest.param(_two_dim(B2=((math.nan, 0.0), (0.0, 1.0))),
+                     id="NaN entry"),
+        pytest.param(_two_dim(A1=((1e308, 1e308), (1e308, 1e308))),
+                     id="finite entries whose sum overflows"),
+        pytest.param(_two_dim(psi=((1.0,), (0.0,))), id="psi of rows"),
+    ])
+    def test_both_routes_reject(self, model):
+        with pytest.raises(InvalidModel):
+            _on_arrays(model)
+        for check in (QuantumModel.validate, correlations_of,
+                      selftest_residuals):
+            with pytest.raises(InvalidModel):
+                check(model)
+
+    def test_both_routes_accept_the_tolerances(self):
+        tilt = 1e-13
+        model = _two_dim(A1=((1.0, tilt), (0.0, -1.0)),
+                         B1=((1.0 + 1e-11, 0.0), (0.0, 1.0)))
+        model.validate()
+        _on_arrays(model)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_large_model_rejected(self, entry):
+        mix = mixture_model([(0.5, build_model(CHSH_ANGLES)),
+                             (0.5, build_model(AngleTuple(0, 0, 0, 0)))])
+        A1 = mix.A1.copy()
+        A1[3, 3] = entry
+        bad = QuantumModel(psi=mix.psi, A1=A1, A2=mix.A2, B1=mix.B1,
+                           B2=mix.B2, d=mix.d)
+        for check in (QuantumModel.validate, correlations_of,
+                      selftest_residuals):
+            with pytest.raises(InvalidModel, match="finite"):
+                check(bad)
