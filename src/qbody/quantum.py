@@ -50,8 +50,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import mul, neg
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain
+from operator import mul, sub
+from typing import Sequence
 
 from .core import (
     BadWeights,
@@ -155,7 +156,10 @@ class QuantumModel:
 
     def validate(self) -> None:
         """Check the defining hypotheses; raise :class:`InvalidModel`."""
-        _checked(self)
+        if self.d <= _SMALL_D:
+            _checked_rows(self)
+        else:
+            _checked_arrays(self)
 
     def to_json_dict(self) -> dict:
         """Row-major JSON export of the model."""
@@ -200,7 +204,8 @@ class SelfTestReport:
 
 def _kron(a, b) -> tuple[tuple[float, ...], ...]:
     """Kronecker product of two matrices given as row tuples."""
-    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+    return tuple([tuple([x * y for x in ra for y in rb])
+                  for ra in a for rb in b])
 
 
 def build_model(t: AngleTuple) -> QuantumModel:
@@ -219,8 +224,9 @@ def build_model(t: AngleTuple) -> QuantumModel:
 
 def correlations_of(m: QuantumModel) -> Correlation:
     """Evaluate ``c_ij = <psi| A_i B_j psi>`` after validating the model."""
-    route, psi, obs = _checked(m)
-    return Correlation(*route.correlations(psi, obs))
+    if m.d <= _SMALL_D:
+        return Correlation(*_correlations_rows(*_checked_rows(m)))
+    return Correlation(*_correlations_arrays(*_checked_arrays(m)))
 
 
 def selftest_residuals(m: QuantumModel) -> SelfTestReport:
@@ -232,25 +238,9 @@ def selftest_residuals(m: QuantumModel) -> SelfTestReport:
     gamma is recovered by least squares on span{A1 psi, A2 psi}, so
     off-manifold models yield informative residuals instead of errors.
     """
-    route, psi, obs = _checked(m)
-    return route.selftest(psi, obs, m.d)
-
-
-class _Route(NamedTuple):
-    """One representation of a model's fields and the code that runs on it."""
-
-    fields: Callable        # model -> (psi, observables), converted
-    validate: Callable      # (psi, observables, d) -> None, or InvalidModel
-    correlations: Callable  # (psi, observables) -> the four c_ij
-    selftest: Callable      # (psi, observables, d) -> SelfTestReport
-
-
-def _checked(m: QuantumModel) -> tuple[_Route, object, tuple]:
-    """The model's route and its fields in that route's form, validated."""
-    route = _ROWS if m.d <= _SMALL_D else _ARRAYS
-    psi, obs = route.fields(m)
-    route.validate(psi, obs, m.d)
-    return route, psi, obs
+    if m.d <= _SMALL_D:
+        return _selftest_rows(*_checked_rows(m), m.d)
+    return _selftest_arrays(*_checked_arrays(m), m.d)
 
 
 # ---------------------------------------------------------------------------
@@ -283,62 +273,56 @@ def _max_abs(X) -> float:
 _NOT_NUMBERS = "psi must be a vector and the observables matrices of numbers"
 
 
-def _fields_rows(m: QuantumModel):
-    """The fields as row tuples: numpy arrays converted, others as given."""
-    psi = m.psi
+def _checked_rows(m: QuantumModel):
+    """The validated fields as row tuples, numpy arrays converted."""
+    d = m.d
     try:
-        return (tuple(psi.tolist()) if hasattr(psi, "tolist") else psi,
-                tuple(tuple(map(tuple, X.tolist())) if hasattr(X, "tolist")
-                      else X for X in m.observables()))
-    except TypeError:  # an array of the wrong rank
-        raise InvalidModel(_NOT_NUMBERS) from None
-
-
-def _validate_rows(psi, obs, d: int) -> None:
-    try:
+        psi = tuple(m.psi.tolist()) if hasattr(m.psi, "tolist") else m.psi
+        obs = tuple(tuple(map(tuple, X.tolist())) if hasattr(X, "tolist")
+                    else X for X in m.observables())
         if len(psi) != d:
             raise InvalidModel(f"psi has {len(psi)} entries, expected {d}")
         for name, X in zip(_OBSERVABLES, obs):
             if len(X) != d or any(len(row) != d for row in X):
                 raise InvalidModel(f"{name} is not {d}x{d}")
-        # a sum that fails names an entry that is not a number; a finite
-        # sum proves every entry finite, and only a sum that is not needs
-        # the entries looked at one by one
-        finite = math.isfinite(sum(psi) + sum([sum(map(sum, X)) for X in obs]))
-    except TypeError:
+        finite = all(map(math.isfinite, chain(psi, *chain(*obs))))
+    except TypeError:  # an entry that is not a number, or rows of rows
         raise InvalidModel(_NOT_NUMBERS) from None
-    if not finite and not (all(map(math.isfinite, psi)) and all(
-            all(map(math.isfinite, row)) for X in obs for row in X)):
+    if not finite:
         raise InvalidModel("model entries must be finite")
     norm = math.hypot(*psi)
     if abs(norm - 1.0) > _PSI_NORM_TOL:
         raise InvalidModel(f"|psi| = {norm!r} not normalized")
-    exact, negated = [], []
     bound = 1.0 + _SPECTRUM_TOL
-    for name, X in zip(_OBSERVABLES, obs):
-        # only a tuple of tuples can equal its transpose
-        exact.append(X == tuple(zip(*X)))
-        if not exact[-1] and max((abs(X[i][j] - X[j][i]) for i in range(d)
-                                  for j in range(i)), default=0.0) \
-                > _SYMMETRY_TOL:
+    cols = [tuple(zip(*X)) for X in obs]
+    for name, X, XT in zip(_OBSERVABLES, obs, cols):
+        if max(map(abs, map(sub, chain(*X), chain(*XT)))) > _SYMMETRY_TOL:
             raise InvalidModel(f"{name} not symmetric")
-        negated.append(tuple(tuple(map(neg, row)) for row in X))
-        if _count_above(X, bound) or _count_above(negated[-1], bound):
-            raise InvalidModel(f"{name} spectrum leaves [-1, 1]")
-    for A, sym_a in zip(obs[:2], exact[:2]):
-        for B, sym_b, neg_b in zip(obs[2:], exact[2:], negated[2:]):
-            if sym_a and sym_b:
-                # (B·A)_ij = (A·B)_ji, so the commutator is antisymmetric
-                # with the entries A_i·B_j - A_j·B_i above its diagonal
-                worst = max((abs(_dot(A[i] + A[j], B[j] + neg_b[i]))
-                             for i in range(d) for j in range(i)),
+        if _count_above(X, bound):
+            raise InvalidModel(
+                f"{name} spectrum leaves [-1, 1]: an eigenvalue above 1")
+        if _count_above([[-x for x in row] for row in X], bound):
+            raise InvalidModel(
+                f"{name} spectrum leaves [-1, 1]: an eigenvalue below -1")
+    for A, AT in zip(obs[:2], cols[:2]):
+        for B, BT in zip(obs[2:], cols[2:]):
+            if A == AT and B == BT:
+                # exactly symmetric A and B give (B·A)_ij = (A·B)_ji to
+                # the last bit (the same products, summed in the same
+                # order), so the commutator is antisymmetric with a zero
+                # diagonal, and its entries below the diagonal are
+                # A_i·B_j - A_j·B_i, bit for bit those of the full products
+                worst = max([abs(sum(map(mul, A[i], B[j]))
+                                 - sum(map(mul, A[j], B[i])))
+                             for i in range(d) for j in range(i)],
                             default=0.0)
             else:
-                worst = max(abs(x - y) for ra, rb in zip(_matmul(A, B),
-                                                         _matmul(B, A))
-                            for x, y in zip(ra, rb))
+                worst = max(map(abs, map(
+                    sub, [sum(map(mul, row, col)) for row in A for col in BT],
+                    [sum(map(mul, row, col)) for row in B for col in AT])))
             if worst > _COMMUTATOR_TOL:
                 raise InvalidModel(f"commutator norm {worst!r}")
+    return psi, obs
 
 
 def _correlations_rows(psi, obs) -> list[float]:
@@ -372,7 +356,8 @@ def _hestenes(vectors) -> tuple[list[list[float]], list[list[float]]]:
                 if abs(gamma) <= tol * math.sqrt(alpha * beta):
                     continue
                 zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                t = math.copysign(1.0, zeta) / (abs(zeta)
+                                                 + math.hypot(1.0, zeta))
                 c = 1.0 / math.hypot(1.0, t)
                 s = c * t
                 for pair in (ys, vs):
@@ -447,22 +432,16 @@ def _selftest_rows(psi, obs, d: int) -> SelfTestReport:
                           u_value=u_value)
 
 
-_ROWS = _Route(_fields_rows, _validate_rows, _correlations_rows,
-               _selftest_rows)
-
-
 # ---------------------------------------------------------------------------
 # The array route: numpy, d > 4
 # ---------------------------------------------------------------------------
 
-def _fields_arrays(m: QuantumModel):
+def _checked_arrays(m: QuantumModel):
+    """The validated fields as numpy arrays."""
     import numpy as np
-    return (np.asarray(m.psi, dtype=float),
-            tuple(np.asarray(X, dtype=float) for X in m.observables()))
-
-
-def _validate_arrays(psi, obs, d: int) -> None:
-    import numpy as np
+    d = m.d
+    psi = np.asarray(m.psi, dtype=float)
+    obs = tuple(np.asarray(X, dtype=float) for X in m.observables())
     if psi.shape != (d,):
         raise InvalidModel(f"psi shape {psi.shape} != ({d},)")
     if not all(np.isfinite(x).all() for x in (psi, *obs)):
@@ -485,6 +464,7 @@ def _validate_arrays(psi, obs, d: int) -> None:
             if np.abs(comm).max() > _COMMUTATOR_TOL:
                 raise InvalidModel(
                     f"commutator norm {np.abs(comm).max()!r}")
+    return psi, obs
 
 
 def _correlations_arrays(psi, obs) -> list[float]:
@@ -544,10 +524,6 @@ def _selftest_arrays(psi, obs, d: int) -> SelfTestReport:
                           residual_anticommutator=residual_anticommutator,
                           residual_tracial=residual_tracial,
                           u_value=u_value)
-
-
-_ARRAYS = _Route(_fields_arrays, _validate_arrays, _correlations_arrays,
-                 _selftest_arrays)
 
 
 # ---------------------------------------------------------------------------

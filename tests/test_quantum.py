@@ -236,13 +236,6 @@ def _array_model(t: AngleTuple) -> QuantumModel:
         d=4)
 
 
-def _on_arrays(m: QuantumModel):
-    """The numpy route's validated fields of any model, whatever its d."""
-    psi, obs = quantum._ARRAYS.fields(m)
-    quantum._ARRAYS.validate(psi, obs, m.d)
-    return psi, obs
-
-
 def _stratum_angles(rng, n: int) -> list[AngleTuple]:
     """Angle tuples of Q1, Q2, Q3 and Q4 points and of arbitrary tuples,
     permuted and with an even number of angles shifted by pi (images under
@@ -286,8 +279,8 @@ class TestRowRoute:
         for t in tuples:
             rows, arrays = build_model(t), _array_model(t)
             assert _model_stdout(rows, correlations_of(rows).as_tuple()) \
-                == _model_stdout(arrays, quantum._ARRAYS.correlations(
-                    *quantum._ARRAYS.fields(arrays))), t
+                == _model_stdout(arrays, quantum._correlations_arrays(
+                    *quantum._checked_arrays(arrays))), t
 
     def test_selftest_matches_array_route(self):
         rng = np.random.default_rng(223)
@@ -296,8 +289,9 @@ class TestRowRoute:
         for t in tuples:
             m = build_model(t)
             got = selftest_residuals(m)
-            ref = quantum._ARRAYS.selftest(*_on_arrays(m), m.d)
-            assert isinstance(got.gamma, tuple) and isinstance(ref.gamma, tuple)
+            ref = quantum._selftest_arrays(*quantum._checked_arrays(m), m.d)
+            assert isinstance(got.gamma, tuple)
+            assert isinstance(ref.gamma, tuple)
             pairs = list(zip(sum(got.gamma, ()), sum(ref.gamma, ())))
             pairs += [(getattr(got, name), getattr(ref, name)) for name in (
                 "residual_bpsi", "residual_squares",
@@ -375,18 +369,41 @@ class TestValidation:
     ])
     def test_both_routes_reject(self, model):
         with pytest.raises(InvalidModel):
-            _on_arrays(model)
+            quantum._checked_arrays(model)
         for check in (QuantumModel.validate, correlations_of,
                       selftest_residuals):
             with pytest.raises(InvalidModel):
                 check(model)
+
+    def test_commutator_shortcut_matches_full_products(self):
+        # exactly symmetric row tuples take the commutator's entries below
+        # its diagonal, lists the full products: the detail is the same
+        rng = np.random.default_rng(227)
+        for d in (2, 3, 4):
+            for _ in range(60):
+                mats = [0.5 * np.eye(d)] * 4
+                for k in (rng.integers(0, 2), rng.integers(2, 4)):
+                    x = rng.uniform(-1.0, 1.0, size=(d, d)) / d
+                    mats[k] = x + x.T
+                    mats[k] /= 2.0
+                details = []
+                for rows in (lambda X: tuple(map(tuple, X.tolist())),
+                             np.ndarray.tolist):
+                    model = QuantumModel(
+                        psi=(1.0,) + (0.0,) * (d - 1), d=d,
+                        **dict(zip(("A1", "A2", "B1", "B2"), map(rows, mats))))
+                    with pytest.raises(InvalidModel,
+                                       match="commutator norm") as err:
+                        model.validate()
+                    details.append(str(err.value))
+                assert details[0] == details[1]
 
     def test_both_routes_accept_the_tolerances(self):
         tilt = 1e-13
         model = _two_dim(A1=((1.0, tilt), (0.0, -1.0)),
                          B1=((1.0 + 1e-11, 0.0), (0.0, 1.0)))
         model.validate()
-        _on_arrays(model)
+        quantum._checked_arrays(model)
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     def test_non_finite_large_model_rejected(self, entry):
