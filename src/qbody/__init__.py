@@ -29,7 +29,6 @@ from .core import (
     Tolerance,
     TransformDirection,
     ZeroFunctional,
-    chsh_max,
     chsh_values,
     dual_polys,
     dual_transform,
@@ -89,7 +88,6 @@ from .measures import (
     SliceSpec,
     SliceTable,
     VolumeEstimate,
-    exact_volume_ratio,
     mc_volume,
     sample,
     slice_grid,

@@ -64,6 +64,7 @@ from .core import (
     NotPSD,
     Tolerance,
     _Floats,
+    _check_finite,
     _g,
 )
 from .membership import Oracle, _parabola_interval, member
@@ -134,6 +135,7 @@ class AngleTuple:
                        repr=False)
 
     def __post_init__(self) -> None:
+        _check_finite(type(self).__name__, self.as_tuple())
         res = _sum_residual(self.alpha + self.beta + self.gamma + self.delta)
         if res > self.eps:
             raise AngleSumViolation(

@@ -327,11 +327,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         result, status = _run(args), 0
+    except (ValueError, OSError, core.InvalidSlice) as exc:
+        # a malformed slice is a usage error, though the library raises it
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except QBodyError as exc:
         result = {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
         status = 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     try:
         print(json.dumps(result), flush=True)
     except BrokenPipeError:

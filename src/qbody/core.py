@@ -41,8 +41,7 @@ exact.
 
 Importing the package does not import numpy: every scalar quantity is
 computed with Python floats, and numpy is imported inside the functions
-that build or read arrays.  The array constants ``TWO_H`` and ``HADAMARD``
-are built on first access, the symmetry group array on the first
+that build or read arrays.  The symmetry group array is built on the first
 :func:`symmetry_group` call; :func:`orbit` applies the group's signed
 permutations to Python floats.
 """
@@ -78,16 +77,12 @@ __all__ = [
     "PrimalPolys",
     "DualPolys",
     "TransformDirection",
-    "HADAMARD",
-    "TWO_H",
     "primal_polys",
     "dual_polys",
     "chsh_values",
-    "chsh_max",
     "dual_transform",
     "symmetry_group",
     "orbit",
-    "EVEN_VERTICES",
     "CHSH_SIGN_PATTERNS",
 ]
 
@@ -270,30 +265,12 @@ class TransformDirection(enum.Enum):
     FROM_DUAL = "from_dual"    # x -> 2·H·x
 
 
-# 2H is the integer ±1 matrix; H = TWO_H / 2 satisfies H² = identity.
+# The rows of the integer ±1 matrix 2H; H itself satisfies H² = identity.
 # It is symmetric, so these rows are also its columns.
 _TWO_H_ROWS = ((1, 1, 1, 1),
                (1, -1, 1, -1),
                (1, 1, -1, -1),
                (1, -1, -1, 1))
-
-# The 8 even vertices of the cube (columns of 2H and their negatives).
-EVEN_VERTICES = tuple(
-    tuple(sgn * x for x in column)
-    for column in _TWO_H_ROWS for sgn in (1, -1)
-)
-
-
-def __getattr__(name: str):
-    # ``TWO_H`` and ``HADAMARD`` are numpy arrays, built on first access so
-    # that importing this module does not import numpy.  The name is checked
-    # first: ``from .core import x`` and ``hasattr`` probe attributes too.
-    if name not in ("TWO_H", "HADAMARD"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import numpy as np
-    two_h = np.array(_TWO_H_ROWS, dtype=np.int64)
-    globals().update(TWO_H=two_h, HADAMARD=two_h.astype(float) / 2.0)
-    return globals()[name]
 
 
 # Sign patterns with an odd number of minus signs, ordered by the 4-bit
@@ -442,10 +419,6 @@ def chsh_values(c: Correlation) -> tuple[float, ...]:
     """
     halves = _odd_halves(*c.as_tuple())
     return halves + tuple(-v for v in reversed(halves))
-
-
-def chsh_max(c: Correlation) -> float:
-    return max(chsh_values(c))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ __all__ = [
     "SliceSpec",
     "SliceTable",
     "mc_volume",
-    "exact_volume_ratio",
     "sample",
     "slice_grid",
     "EXACT_Q_FRACTION",
@@ -118,11 +117,6 @@ def mc_volume(body: Body, cfg: SamplerConfig) -> VolumeEstimate:
     fraction = hits / cfg.samples
     stderr = math.sqrt(fraction * (1.0 - fraction) / cfg.samples)
     return VolumeEstimate(fraction=fraction, stderr=stderr)
-
-
-def exact_volume_ratio() -> float:
-    """The closed-form quantum fraction of the cube, 3·π²/32."""
-    return EXACT_Q_FRACTION
 
 
 # ---------------------------------------------------------------------------

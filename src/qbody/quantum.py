@@ -66,14 +66,11 @@ from .boundary import AngleTuple, GramSystem, _count_above
 __all__ = [
     "QuantumModel",
     "SelfTestReport",
-    "reflection_matrix",
     "build_model",
     "correlations_of",
     "selftest_residuals",
     "clifford_model",
     "mixture_model",
-    "CLIFFORD_GENERATORS",
-    "SINGLET_PSI",
 ]
 
 # Hypothesis tolerances (fixed by the model contract, not user-tunable).
@@ -88,8 +85,8 @@ _OBSERVABLES = ("A1", "A2", "B1", "B2")
 _EPS = 2.0 ** -52  # float64 machine epsilon, as numpy's ``finfo``
 _JACOBI_SWEEPS = 30
 
-# The building blocks of :func:`build_model` as rows; ``reflection_matrix``
-# and ``SINGLET_PSI`` are their arrays.
+# The building blocks of :func:`build_model`: the singlet ``psi`` and the
+# planar reflections ``M(tau)``, as rows.
 _EYE2 = ((1.0, 0.0), (0.0, 1.0))
 _SINGLET_ROW = tuple(x / math.sqrt(2.0) for x in (0.0, 1.0, -1.0, 0.0))
 
@@ -97,28 +94,6 @@ _SINGLET_ROW = tuple(x / math.sqrt(2.0) for x in (0.0, 1.0, -1.0, 0.0))
 def _reflection_rows(tau: float) -> tuple[tuple[float, float], ...]:
     ct, st = math.cos(tau), math.sin(tau)
     return ((ct, st), (st, -ct))
-
-
-@functools.cache
-def _singlet_psi() -> np.ndarray:
-    import numpy as np
-    return np.array(_SINGLET_ROW)
-
-
-def __getattr__(name: str):
-    # ``SINGLET_PSI`` and ``CLIFFORD_GENERATORS`` are numpy arrays, built on
-    # first access so that importing this module does not import numpy.
-    if name == "SINGLET_PSI":
-        return _singlet_psi()
-    if name == "CLIFFORD_GENERATORS":
-        return _clifford_generators()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def reflection_matrix(tau: float) -> np.ndarray:
-    """The planar reflection ``M(tau)``; symmetric, orthogonal, trace 0."""
-    import numpy as np
-    return np.array(_reflection_rows(tau))
 
 
 def _json_row(value, d: int, name: str) -> tuple[float, ...]:
@@ -454,16 +429,15 @@ def _checked_arrays(m: QuantumModel):
             raise InvalidModel(f"{name} shape {X.shape}")
         if np.abs(X - X.T).max() > _SYMMETRY_TOL:
             raise InvalidModel(f"{name} not symmetric")
-        eigs = np.linalg.eigvalsh(X)
-        if eigs[0] < -1.0 - _SPECTRUM_TOL or eigs[-1] > 1.0 + _SPECTRUM_TOL:
+        lo, hi = np.linalg.eigvalsh(X)[[0, -1]].tolist()
+        if lo < -1.0 - _SPECTRUM_TOL or hi > 1.0 + _SPECTRUM_TOL:
             raise InvalidModel(
-                f"{name} spectrum [{eigs[0]!r}, {eigs[-1]!r}] leaves [-1, 1]")
+                f"{name} spectrum [{lo!r}, {hi!r}] leaves [-1, 1]")
     for A in obs[:2]:
         for B in obs[2:]:
-            comm = A @ B - B @ A
-            if np.abs(comm).max() > _COMMUTATOR_TOL:
-                raise InvalidModel(
-                    f"commutator norm {np.abs(comm).max()!r}")
+            worst = float(np.abs(A @ B - B @ A).max())
+            if worst > _COMMUTATOR_TOL:
+                raise InvalidModel(f"commutator norm {worst!r}")
     return psi, obs
 
 
@@ -547,7 +521,6 @@ def _clifford_generators() -> tuple[np.ndarray, ...]:
     quad4 = (np.kron(s3, np.eye(2)), np.kron(s1, np.eye(2)), np.kron(eps, eps))
     gens = tuple(np.kron(s1, q) for q in quad4) + (np.kron(s3, np.eye(4)),)
     return gens
-
 
 
 def clifford_model(gs: GramSystem) -> QuantumModel:

@@ -28,10 +28,22 @@ SQRT2 = math.sqrt(2.0)
 CHSH_POINT = Correlation(1 / SQRT2, 1 / SQRT2, 1 / SQRT2, -1 / SQRT2)
 CHSH_ANGLES = AngleTuple(math.pi / 4, math.pi / 4, math.pi / 4,
                          -3 * math.pi / 4)
+# The self-duality matrix 2H, the tensor square of the 2x2 Hadamard
+# matrix, and H with H² = 1.
+TWO_H = np.kron(np.array([[1, 1], [1, -1]]), np.array([[1, 1], [1, -1]]))
+HADAMARD = TWO_H / 2.0
+# The antisymmetric maximally entangled state on R² ⊗ R².
+SINGLET_PSI = np.array([0.0, 1.0, -1.0, 0.0]) / SQRT2
 EVEN_VERTEX_TUPLES = [
     (1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1),
     (-1, -1, 1, 1), (-1, 1, -1, 1), (-1, 1, 1, -1), (-1, -1, -1, -1),
 ]
+
+
+def reflection_matrix(tau: float) -> np.ndarray:
+    """The planar reflection ``M(tau)``."""
+    return np.array([[math.cos(tau), math.sin(tau)],
+                     [math.sin(tau), -math.cos(tau)]])
 
 
 def tetra_angles(rng: np.random.Generator, n: int, collar: float = 0.05,

@@ -38,7 +38,7 @@ from qbody import (
     support,
     symmetry_group,
 )
-from qbody.core import TWO_H, _g, _h
+from qbody.core import _g, _h
 from qbody.membership import classical_margin_batch, margin_batch
 from qbody.measures import (
     EXACT_CL_FRACTION,
@@ -50,6 +50,7 @@ from helpers import (
     CHSH_ANGLES,
     CHSH_POINT,
     SQRT2,
+    TWO_H,
     q1_point,
     q2_point,
     q3_point,

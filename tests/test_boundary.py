@@ -126,6 +126,15 @@ class TestExtremeFromAngles:
         with pytest.raises(AngleSumViolation):
             AngleTuple(0.5, 0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        # a NaN sum residual compares false with eps, so finiteness is
+        # checked first
+        with pytest.raises(ValueError, match="must be finite"):
+            AngleTuple(bad, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            AngleTuple(0.0, 0.0, 0.0, bad, eps=1.0)
+
     def test_sum_validated_at_given_eps(self):
         # the sum misses 0 by 1e-7: rejected by default, kept at 1e-6,
         # also through canonical(), which has to wrap alpha

@@ -271,6 +271,55 @@ class TestExitCodes:
         assert code == 1
         assert data["error"]["kind"] == "InvalidModel"
 
+    @pytest.mark.parametrize("command", ["angles", "expose", "model",
+                                         "selftest"])
+    @pytest.mark.parametrize("angles", ["[NaN,0,0,0]", "[0,0,0,Infinity]",
+                                        "[0,-Infinity,0,0]"])
+    def test_non_finite_angles_are_two(self, capsys, command, angles):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--angles", angles])
+        assert info.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--grid", "3"], id="neither fix nor normal"),
+        pytest.param(["--grid", "3", "--fix", "c11=0", "--normal",
+                      "[1,0,0,0]"], id="fix and normal"),
+        pytest.param(["--grid", "1", "--fix", "c11=0"], id="grid 1"),
+        pytest.param(["--grid", "3", "--fix", "c11=0", "--fix", "c12=0",
+                      "--fix", "c21=0", "--fix", "c22=0"], id="four fixes"),
+    ])
+    def test_malformed_slice_is_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(["slice", *argv])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "qbody: error:" in captured.err
+
+    @pytest.mark.parametrize("entries, detail", [
+        pytest.param([("B1", 7, 7, 1.5)],
+                     "B1 spectrum [1.0, 1.5] leaves [-1, 1]", id="spectrum"),
+        # A1 = sigma_x and B1 = sigma_z on the first two coordinates
+        pytest.param([("A1", 0, 0, 0.0), ("A1", 0, 1, 1.0), ("A1", 1, 0, 1.0),
+                      ("A1", 1, 1, 0.0), ("B1", 1, 1, -1.0)],
+                     "commutator norm 2.0", id="commutator"),
+    ])
+    def test_large_model_detail_has_plain_floats(self, capsys, tmp_path,
+                                                 entries, detail):
+        # d = 8 takes the numpy route; the detail must not show numpy
+        # scalar reprs such as np.float64(1.5)
+        eye = [[float(i == j) for j in range(8)] for i in range(8)]
+        doc = {"d": 8, "psi": eye[0],
+               **{name: [row[:] for row in eye]
+                  for name in ("A1", "A2", "B1", "B2")}}
+        for name, i, j, value in entries:
+            doc[name][i][j] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, data = run_cli(capsys, "selftest", "--model", str(path))
+        assert code == 1
+        assert data["error"] == {"kind": "InvalidModel", "detail": detail}
+
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["member", "--point", "[1,2"])
@@ -390,6 +439,19 @@ class TestStartWithoutNumpy:
             capture_output=True, text=True, env=_child_env(), timeout=60)
         assert child.returncode == 0, child.stderr
         assert "error" not in json.loads(child.stdout)
+
+    def test_public_names(self):
+        # every name a qbody module exports is there without numpy
+        code = ("import importlib, pkgutil, sys, qbody, qbody.cli\n"
+                "for info in pkgutil.iter_modules(qbody.__path__):\n"
+                "    module = importlib.import_module('qbody.' + info.name)\n"
+                "    for name in getattr(module, '__all__', ()):\n"
+                "        getattr(module, name)\n"
+                "sys.exit(3 if 'numpy' in sys.modules else 0)")
+        child = subprocess.run([sys.executable, "-c", code],
+                               capture_output=True, text=True,
+                               env=_child_env(), timeout=60)
+        assert child.returncode == 0, child.stderr
 
     def test_bare_import(self):
         code = ("import sys, qbody, qbody.core, qbody.quantum; "

@@ -16,11 +16,10 @@ from qbody import (
     primal_polys,
     symmetry_group,
 )
-from qbody.core import (HADAMARD, TWO_H, _assert_close, _g, _h, _h_squared,
-                        _two_h)
+from qbody.core import _assert_close, _g, _h, _h_squared, _two_h
 
-from helpers import (CHSH_POINT, EVEN_VERTEX_TUPLES, SQRT2, group_matrices,
-                     q2_point)
+from helpers import (CHSH_POINT, EVEN_VERTEX_TUPLES, HADAMARD, SQRT2, TWO_H,
+                     group_matrices, q2_point)
 
 
 class TestPrimalPolys:

@@ -16,7 +16,6 @@ from qbody import (
     SliceTable,
     Stratum,
     classify,
-    exact_volume_ratio,
     mc_volume,
     member,
     member_classical,
@@ -66,7 +65,7 @@ class TestMcVolume:
 
 class TestExactVolume:
     def test_closed_form_and_jacobian_cross_check(self):
-        value = exact_volume_ratio()
+        value = EXACT_Q_FRACTION
         assert value == pytest.approx(0.9252754126, abs=1e-9)
         assert value == 3.0 * math.pi ** 2 / 32.0
         # quasi-Monte-Carlo integral of the pushout Jacobian

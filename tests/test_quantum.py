@@ -22,14 +22,10 @@ from qbody import (
     solve_completion,
 )
 from qbody import quantum
-from qbody.quantum import (
-    CLIFFORD_GENERATORS,
-    QuantumModel,
-    SINGLET_PSI,
-    reflection_matrix,
-)
+from qbody.quantum import QuantumModel
 
-from helpers import CHSH_ANGLES, CHSH_POINT, deep_interior_point, tetra_angles
+from helpers import (CHSH_ANGLES, CHSH_POINT, SINGLET_PSI, deep_interior_point,
+                     reflection_matrix, tetra_angles)
 
 
 def _scalar_model(values):
@@ -129,9 +125,10 @@ class TestSelfTest:
 
 class TestCliffordModel:
     def test_generators_anticommute(self):
-        for i, gi in enumerate(CLIFFORD_GENERATORS):
+        generators = quantum._clifford_generators()
+        for i, gi in enumerate(generators):
             assert np.array_equal(gi, gi.T)
-            for j, gj in enumerate(CLIFFORD_GENERATORS):
+            for j, gj in enumerate(generators):
                 anti = gi @ gj + gj @ gi
                 expected = 2.0 * np.eye(8) if i == j else np.zeros((8, 8))
                 assert np.abs(anti - expected).max() < 1e-14
