@@ -285,16 +285,8 @@ def _count_above(rows, shift: float) -> int:
 
 
 class _Certificate:
-    """PSD test shared by the primal and dual completion certificates,
-    which give their entries as :meth:`rows`."""
-
-    def matrix(self) -> np.ndarray:
-        import numpy as np
-        return np.array(self.rows())
-
-    def min_eigenvalue(self) -> float:
-        import numpy as np
-        return float(np.linalg.eigvalsh(self.matrix())[0])
+    """PSD test and numerical rank shared by the primal and dual completion
+    certificates, which give their entries as :meth:`rows`."""
 
     def is_psd(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         """Whether no eigenvalue lies below ``-_psd_threshold``
@@ -304,6 +296,12 @@ class _Certificate:
         rows = self.rows()
         return _count_above([[-x for x in row] for row in rows],
                             _psd_threshold(rows, tol)) == 0
+
+    def rank(self, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
+        """Numerical rank: the number of eigenvalues above
+        ``_psd_threshold``, counted by inertia (:func:`_count_above`)."""
+        rows = self.rows()
+        return _count_above(rows, _psd_threshold(rows, tol))
 
 
 @dataclass(frozen=True)
@@ -334,11 +332,8 @@ class CompletionResult:
 
     @functools.cached_property
     def rank(self) -> int:
-        """Numerical rank of the witness: the number of its eigenvalues
-        above ``_psd_threshold`` (``tol.eps_psd`` relative to its largest
-        entry, or to 1), counted by inertia (:func:`_count_above`)."""
-        rows = self.witness.rows()
-        return _count_above(rows, _psd_threshold(rows, self.tol))
+        """The witness's numerical rank (:meth:`_Certificate.rank`)."""
+        return self.witness.rank(self.tol)
 
 
 def solve_completion(c: Correlation,
@@ -575,69 +570,65 @@ def exposing_functional(t: AngleTuple,
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Unit vectors ``a1, a2, b1, b2`` in r-space with ``c_ij = a_i·b_j``."""
+    """Unit vectors ``a1, a2, b1, b2`` in r-space with ``c_ij = a_i·b_j``,
+    as tuples from :func:`gram_vectors` or any float sequences."""
 
-    a1: np.ndarray
-    a2: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
+    a1: tuple[float, ...]
+    a2: tuple[float, ...]
+    b1: tuple[float, ...]
+    b2: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        import numpy as np
-        shapes = {v.shape for v in self.vectors()}
-        if len(shapes) != 1 or self.a1.ndim != 1 or self.a1.shape[0] < 1:
-            raise ValueError(f"vectors must share one r-space, got {shapes}")
+        lengths = {len(v) for v in self.vectors()}
+        if len(lengths) != 1 or self.r < 1:
+            raise ValueError(f"vectors must share one r-space, got {lengths}")
         for v in self.vectors():
-            if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
+            if abs(math.hypot(*v) - 1.0) > 1e-12:
                 raise ValueError("Gram vectors must be unit length")
 
     @property
     def r(self) -> int:
-        return int(self.a1.shape[0])
+        return len(self.a1)
 
-    def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def vectors(self) -> tuple[tuple[float, ...], ...]:
         return (self.a1, self.a2, self.b1, self.b2)
 
     def correlation(self) -> Correlation:
-        return Correlation(
-            float(self.a1 @ self.b1), float(self.a1 @ self.b2),
-            float(self.a2 @ self.b1), float(self.a2 @ self.b2))
+        return Correlation(*(float(sum(x * y for x, y in zip(a, b)))
+                             for a in (self.a1, self.a2)
+                             for b in (self.b1, self.b2)))
 
 
 def gram_vectors(comp: Completion,
                  tol: Tolerance = DEFAULT_TOLERANCE) -> GramSystem:
-    """Factor a PSD completion into unit vectors via eigendecomposition.
+    """Factor a PSD completion ``C`` into unit vectors ``(a1, a2, b1, b2)``.
 
-    Rows of the square-root factor, restricted to the eigenvalues above
-    the rank threshold, give ``(a1, a2, b1, b2)``.  Eigenvector signs are
-    normalized (largest-magnitude component positive) so the output is
-    reproducible, and rows are rescaled to exact unit length (truncating
-    sub-threshold eigenvalues shortens them by up to the threshold mass).
-    Raises :class:`NotPSD` when the completion fails the eigenvalue test,
-    :class:`ConsistencyError` if the factorization does not reproduce the
-    matrix to 1e-9.
+    ``r`` steps of diagonal-pivoted Cholesky (the largest remaining
+    diagonal entry first, the first on ties), ``r`` the numerical rank of
+    :meth:`_Certificate.rank`, give rows ``F`` with ``F·Fᵀ ≈ C``, rescaled
+    to exact unit length.  Raises :class:`NotPSD` unless
+    :meth:`_Certificate.is_psd`, :class:`ConsistencyError` if ``F`` does
+    not reproduce ``C`` to 1e-9.
     """
-    import numpy as np
-    matrix = comp.matrix()
-    threshold = _psd_threshold(comp.rows(), tol)
-    eigvals, eigvecs = np.linalg.eigh(matrix)
-    if eigvals[0] < -threshold:
-        raise NotPSD(f"minimum eigenvalue {eigvals[0]:.3e}")
-
-    keep = eigvals > threshold
-    order = np.argsort(eigvals[keep])[::-1]
-    vals = eigvals[keep][order]
-    vecs = eigvecs[:, keep][:, order]
-    for j in range(vecs.shape[1]):
-        pivot = np.argmax(np.abs(vecs[:, j]))
-        if vecs[pivot, j] < 0:
-            vecs[:, j] = -vecs[:, j]
-    factor = vecs * np.sqrt(vals)
-    factor /= np.linalg.norm(factor, axis=1, keepdims=True)
-
-    recon = factor @ factor.T
-    if np.abs(recon - matrix).max() > 1e-9:
+    if not comp.is_psd(tol):
+        raise NotPSD(f"the completion is not PSD at eps_psd {tol.eps_psd:g}")
+    matrix = comp.rows()
+    a, live, columns = [list(row) for row in matrix], [0, 1, 2, 3], []
+    for _ in range(comp.rank(tol)):
+        p = max(live, key=lambda i: a[i][i])  # max keeps the first on ties
+        live.remove(p)
+        root = math.sqrt(a[p][p])
+        column = [a[i][p] / root if i in live else 0.0 for i in range(4)]
+        column[p] = root
+        for i in live:
+            for j in live:
+                a[i][j] -= column[i] * column[j]
+        columns.append(column)
+    rows = []
+    for row in zip(*columns):
+        norm = math.hypot(*row)
+        rows.append(tuple(x / norm for x in row))
+    if not all(abs(sum(x * y for x, y in zip(ri, rj)) - m) <= 1e-9
+               for ri, mrow in zip(rows, matrix) for rj, m in zip(rows, mrow)):
         raise ConsistencyError("Gram factorization residual exceeds 1e-9")
-
-    rows = [factor[i, :].copy() for i in range(4)]
-    return GramSystem(a1=rows[0], a2=rows[1], b1=rows[2], b2=rows[3])
+    return GramSystem(*rows)

@@ -56,10 +56,11 @@ def _fix_arg(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"--fix value {value!r} not a number")
 
 
-def _add_eps_flags(parser: argparse.ArgumentParser) -> None:
-    # a flag left out stays None, so a branch can tell whether it was given
-    for name in vars(core.DEFAULT_TOLERANCE):
-        parser.add_argument("--" + name.replace("_", "-"), type=float)
+def _add_eps_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    # flags for the Tolerance fields the subcommand reads, eps_psd with
+    # eps_boundary, which bounds it; a flag left out stays None
+    for name in names:
+        parser.add_argument(f"--eps-{name}", type=float)
 
 
 def _eps_given(args: argparse.Namespace) -> dict[str, float]:
@@ -91,11 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="membership of a point in Q")
     p.add_argument("--point", type=_point_arg, required=True, help=_POINT_HELP)
     p.add_argument("--oracle", choices=["all"] + sorted(_ORACLES), default="all")
-    _add_eps_flags(p)
+    _add_eps_flags(p, "boundary", "psd")
 
     p = sub.add_parser("classify", help="boundary stratum of a point")
     p.add_argument("--point", type=_point_arg, required=True, help=_POINT_HELP)
-    _add_eps_flags(p)
+    _add_eps_flags(p, "boundary", "psd")
 
     p = sub.add_parser("support", help="support function of a functional")
     p.add_argument("--functional", type=_functional_arg, required=True,
@@ -107,34 +108,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", help="polar-body membership of a functional")
     p.add_argument("--functional", type=_functional_arg, required=True,
                    help=_FUNCTIONAL_HELP)
-    _add_eps_flags(p)
+    _add_eps_flags(p, "boundary", "psd")
 
     p = sub.add_parser("complete", help="matrix completion of a point")
     p.add_argument("--point", type=_point_arg, required=True, help=_POINT_HELP)
-    _add_eps_flags(p)
+    _add_eps_flags(p, "boundary", "psd")
 
     p = sub.add_parser("angles", help="angles <-> point conversions")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--point", type=_point_arg, help=_POINT_HELP)
     group.add_argument("--angles", type=_angles_arg, help=_ANGLES_HELP)
-    _add_eps_flags(p)
+    _add_eps_flags(p, "boundary", "angle", "psd")
 
     p = sub.add_parser("expose", help="exposing functional of an extreme point")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--angles", type=_angles_arg, help=_ANGLES_HELP)
     group.add_argument("--point", type=_point_arg, help=_POINT_HELP)
-    _add_eps_flags(p)
+    _add_eps_flags(p, "boundary", "angle", "psd")
 
     p = sub.add_parser("model", help="explicit quantum model for angles")
     p.add_argument("--angles", type=_angles_arg, required=True,
                    help=_ANGLES_HELP)
-    _add_eps_flags(p)
+    _add_eps_flags(p, "angle")
 
     p = sub.add_parser("selftest", help="self-testing residuals of a model")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--angles", type=_angles_arg, help=_ANGLES_HELP)
     group.add_argument("--model", help="path to a model JSON file")
-    _add_eps_flags(p)
+    _add_eps_flags(p, "boundary", "angle", "psd")
 
     p = sub.add_parser("volume", help="Monte-Carlo volume fraction")
     p.add_argument("--body", choices=sorted(_BODIES), default="q")
@@ -157,11 +158,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=50,
                    help="grid resolution per free axis")
     p.add_argument("--out", help="write CSV to this path instead of JSON")
-    _add_eps_flags(p)
+    _add_eps_flags(p, "boundary", "psd")
 
     p = sub.add_parser("orbit", help="symmetry orbit of a point")
     p.add_argument("--point", type=_point_arg, required=True, help=_POINT_HELP)
-    _add_eps_flags(p)
+    _add_eps_flags(p, "angle")
 
     p = sub.add_parser("ncycle", help="normal-cycle residuals of a pair")
     p.add_argument("--point", type=_point_arg, required=True, help=_POINT_HELP)
@@ -257,12 +258,14 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         return payload
 
     if cmd == "selftest":
+        # rejected here, not by argparse, so the message can name --angles
+        if args.eps_boundary is not None or args.eps_psd is not None \
+                or (args.model is not None and args.eps_angle is not None):
+            raise ValueError("selftest takes --eps-angle only, with --angles; "
+                             "--model takes no tolerance")
         if args.angles is not None:
             model = quantum.build_model(boundary.AngleTuple(
                 *args.angles, eps=tol.eps_angle))
-        elif _eps_given(args):
-            raise ValueError("--eps-* flags apply to --angles only; "
-                             "--model takes no tolerance")
         else:
             with open(args.model, encoding="utf-8") as fh:
                 model = quantum.QuantumModel.from_json_dict(json.load(fh))

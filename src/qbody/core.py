@@ -364,6 +364,9 @@ def _odd_halves(c11, c12, c21, c22):
             0.5 * (c11 - c12 + c21 + c22), 0.5 * (c11 - c12 - c21 - c22))
 
 
+_REL_TOL = 1e-9  # the bound of the polynomial cross-checks below
+
+
 def _assert_close(a: float, b: float, rel: float, what: str) -> None:
     # a NaN on either side compares false with the bound, so it is caught first
     if math.isnan(a) or math.isnan(b) \
@@ -371,22 +374,22 @@ def _assert_close(a: float, b: float, rel: float, what: str) -> None:
         raise ConsistencyError(f"{what}: {a!r} vs {b!r}")
 
 
-def primal_polys(c: Correlation, rel_tol: float = 1e-9) -> PrimalPolys:
+def primal_polys(c: Correlation) -> PrimalPolys:
     """Evaluate ``g`` and ``h`` at ``c``.
 
     ``h`` is reported from the degree-6 product form; the squared form is
-    evaluated as well and the two must agree within ``rel_tol`` relative to
-    ``max(1, |h|)``, otherwise :class:`ConsistencyError` is raised.
+    evaluated as well and the two must agree within ``_REL_TOL`` relative
+    to ``max(1, |h|)``, otherwise :class:`ConsistencyError` is raised.
     """
     t = c.as_tuple()
     g = _g(*t)
     h = _h(*t)
     h_alt = _h_squared(*t)
-    _assert_close(h, h_alt, rel_tol, "two evaluation forms of h disagree")
+    _assert_close(h, h_alt, _REL_TOL, "two evaluation forms of h disagree")
     return PrimalPolys(g=g, h=h)
 
 
-def dual_polys(f: Functional, rel_tol: float = 1e-9) -> DualPolys:
+def dual_polys(f: Functional) -> DualPolys:
     """Evaluate the dual-side polynomials at ``f``.
 
     ``h_dual = k - p`` and ``g_dual = 1 - 2|f|² + q`` are cross-checked
@@ -402,8 +405,8 @@ def dual_polys(f: Functional, rel_tol: float = 1e-9) -> DualPolys:
     g_dual = 1.0 - 2.0 * norm2 + q
 
     y = _two_h(*t)
-    _assert_close(h_dual, _h(*y) / 256.0, rel_tol, "h_dual vs h(2Hf)/256")
-    _assert_close(g_dual, _g(*y) / 2.0, rel_tol, "g_dual vs g(2Hf)/2")
+    _assert_close(h_dual, _h(*y) / 256.0, _REL_TOL, "h_dual vs h(2Hf)/256")
+    _assert_close(g_dual, _g(*y) / 2.0, _REL_TOL, "g_dual vs g(2Hf)/2")
     return DualPolys(k=k, p=p, q=q, g_dual=g_dual, h_dual=h_dual)
 
 

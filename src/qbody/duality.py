@@ -129,7 +129,8 @@ def quantum_case(f: Functional) -> CaseVerdict:
     disagree on the razor's edge.  The criteria run on ``f`` scaled by a
     power of two (see :func:`_normalized`), which keeps the support
     positively homogeneous at every magnitude; the margins are those of
-    the scaled functional.
+    the scaled functional.  A support value beyond the float range raises
+    :class:`ConsistencyError`.
     """
     if max(abs(v) for v in f.as_tuple()) == 0.0:
         raise ZeroFunctional("the zero functional has no case split")
@@ -139,23 +140,15 @@ def quantum_case(f: Functional) -> CaseVerdict:
     p = polys.p
 
     # criterion A: p < 0 and m > 2 (m needs all entries nonzero, which
-    # p < 0 guarantees; each ratio is at most 1, so none overflows)
+    # p < 0 guarantees; each ratio is at most 1, so none overflows);
+    # criterion B: p < 0 and the even-signed product of reciprocals < 0
+    m_value, margin_a, margin_b = None, -p, -p
     if p < 0.0:
         smallest = min(abs(v) for v in entries)
         m_value = sum(smallest / abs(v) for v in entries)
         margin_a = min(-p, m_value - 2.0)
-    else:
-        m_value = None
-        margin_a = -p
-    verdict_a = margin_a > 0.0
-
-    # criterion B: p < 0 and the even-signed product of reciprocals < 0
-    if p < 0.0:
-        m_tilde = _q(*(1.0 / v for v in entries))
-        margin_b = min(-p, -m_tilde)
-    else:
-        margin_b = -p
-    verdict_b = margin_b > 0.0
+        margin_b = min(-p, -_q(*(1.0 / v for v in entries)))
+    verdict_a, verdict_b = margin_a > 0.0, margin_b > 0.0
 
     # criterion C: after the even sign change putting the classical
     # maximizer at (1,1,1,1), the elementary symmetric cubic is negative
@@ -176,16 +169,21 @@ def quantum_case(f: Functional) -> CaseVerdict:
                 f"case criteria disagree: {verdicts} with margins "
                 f"({margin_a:.3e}, {margin_b:.3e}, {margin_c:.3e})")
 
-    phi_c = math.ldexp(abs(y[kstar]), exponent)
+    phi_q = None
     if verdict_a:
         k = polys.k
         if min(abs(k), -p) < sys.float_info.min:
             # k or p underflowed: take their ratio in exact arithmetic
             exact = _exact(entries)
             k, p = _k(*exact), math.prod(exact)
-        phi_q = math.ldexp(math.sqrt(k / p), exponent)
-    else:
-        phi_q = None
+        phi_q = math.sqrt(k / p)
+    try:  # back to the scale of f
+        phi_c = math.ldexp(abs(y[kstar]), exponent)
+        if verdict_a:
+            phi_q = math.ldexp(phi_q, exponent)
+    except OverflowError:
+        raise ConsistencyError(f"the support of {f!r} overflows the float "
+                               "range") from None
     return CaseVerdict(quantum_case=verdict_a, m_value=m_value,
                        phi_classical=phi_c, phi_quantum=phi_q, vertex=vertex)
 
@@ -436,18 +434,20 @@ def ncycle_residuals(c: Correlation, f: Functional) -> tuple[float, ...]:
     :data:`NCYCLE_RESIDUAL_NAMES`: the incidence form, the two boundary
     sextics, the 14 remaining prime-ideal generators, and three of those
     generators re-evaluated at the duality-reflected pair (which lies on
-    the same stratum, so they vanish there too).
+    the same stratum, so they vanish there too).  A residual that leaves
+    the float range raises :class:`ConsistencyError`.
     """
-    ct = c.as_tuple()
-    ft = f.as_tuple()
-    ell = sum(a * b for a, b in zip(ct, ft)) - 1.0
-    h_c = _h(*ct)
-    h_f = _h_polar(*ft)
-    gens = _ideal_generators(ct, ft)
-
-    c_refl = dual_transform(ft, TransformDirection.FROM_DUAL)
-    f_refl = dual_transform(ct, TransformDirection.TO_DUAL)
-    gens_refl = _ideal_generators(c_refl, f_refl)
-
-    return (ell, h_c, h_f, *gens,
-            gens_refl[0], gens_refl[1], gens_refl[8])
+    ct, ft = c.as_tuple(), f.as_tuple()
+    try:
+        refl = _ideal_generators(
+            dual_transform(ft, TransformDirection.FROM_DUAL),
+            dual_transform(ct, TransformDirection.TO_DUAL))
+        residuals = (sum(a * b for a, b in zip(ct, ft)) - 1.0, _h(*ct),
+                     _h_polar(*ft), *_ideal_generators(ct, ft),
+                     refl[0], refl[1], refl[8])
+    except OverflowError:  # float ** raises where float * gives inf
+        residuals = (math.inf,)
+    if not all(map(math.isfinite, residuals)):
+        raise ConsistencyError(
+            "the normal-cycle residuals overflow the float range")
+    return residuals

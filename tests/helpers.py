@@ -46,6 +46,16 @@ def reflection_matrix(tau: float) -> np.ndarray:
                      [math.sin(tau), -math.cos(tau)]])
 
 
+def certificate_matrix(cert) -> np.ndarray:
+    """The 4x4 matrix of a primal or dual completion certificate."""
+    return np.array(cert.rows())
+
+
+def min_eigenvalue(cert) -> float:
+    """The smallest eigenvalue of a certificate, by ``eigvalsh``."""
+    return float(np.linalg.eigvalsh(certificate_matrix(cert))[0])
+
+
 def tetra_angles(rng: np.random.Generator, n: int, collar: float = 0.05,
                  k_min: float = 0.0) -> list[AngleTuple]:
     """Angle tuples in the prototype tetrahedron with a sine collar.
@@ -204,5 +214,5 @@ def dual_completion_grid(f: Functional, tol: Tolerance = DEFAULT_TOLERANCE
 
     witness = DualCompletion(f=f, p1=float(p1_best), p2=float(1.0 - p1_best),
                              p3=float(p3_best), p4=float(1.0 - p3_best))
-    feasible = bool(val_best >= -_psd_threshold(witness.matrix(), tol))
+    feasible = bool(val_best >= -_psd_threshold(witness.rows(), tol))
     return feasible, witness, float(val_best)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -238,6 +239,20 @@ class TestExitCodes:
         assert code == 1
         assert data["error"]["kind"] == "ConsistencyError"
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["support", "--functional", "[1e308,1e308,1e308,1e308]"],
+                     id="support"),
+        pytest.param(["ncycle", "--point", "[1e200,0,0,0]", "--functional",
+                      "[1e200,0,0,0]"], id="ncycle power"),
+        pytest.param(["ncycle", "--point", "[1e100,0,0,0]", "--functional",
+                      "[1e100,0,0,0]"], id="ncycle product"),
+    ])
+    def test_overflow_is_domain_error(self, capsys, argv):
+        code, data = run_cli(capsys, *argv)
+        assert code == 1
+        assert data["error"]["kind"] == "ConsistencyError"
+        assert "the float range" in data["error"]["detail"]
+
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda doc: {}, id="empty object"),
         pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "B2"},
@@ -336,13 +351,31 @@ class TestExitCodes:
         assert info.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["support", "--functional", "[0.5,0.5,0.5,-0.5]"],
-        ["gauge", "--point", "[0.3,0.2,-0.7,0.1]"],
-        ["ncycle", "--point", CHSH_JSON, "--functional", "[0.5,0.5,0.5,-0.5]"],
+        ["support", "--functional", "[0.5,0.5,0.5,-0.5]", "--eps-angle", "0.5"],
+        ["gauge", "--point", "[0.3,0.2,-0.7,0.1]", "--eps-angle", "0.5"],
+        ["ncycle", "--point", CHSH_JSON, "--functional", "[0.5,0.5,0.5,-0.5]",
+         "--eps-angle", "0.5"],
+        # Tolerance accepts each value, so only the untaken flag can fail
+        *(pytest.param([command, *args, "--eps-angle", "0.5"],
+                       id=f"{command} --eps-angle")
+          for command, args in (
+              ("member", ["--point", "[0.1,0.2,0.3,0.4]"]),
+              ("classify", ["--point", "[0.1,0.2,0.3,0.4]"]),
+              ("dual", ["--functional", "[0.5,0.5,0.5,-0.5]"]),
+              ("complete", ["--point", "[0.1,0.2,0.3,0.4]"]),
+              ("slice", ["--fix", "c11=-0.8", "--grid", "3"]))),
+        *(pytest.param([command, *args, flag, value], id=f"{command} {flag}")
+          for command, args in (
+              ("orbit", ["--point", "[0.1,0.2,0.3,0.4]"]),
+              ("model", ["--angles", "[0.3,0.4,0.5,-1.2]"]),
+              ("selftest", ["--angles", "[0.3,0.4,0.5,-1.2]"]))
+          # eps_psd must not exceed eps_boundary, 1e-9 by default
+          for flag, value in (("--eps-boundary", "0.5"),
+                              ("--eps-psd", "1e-12"))),
     ])
     def test_eps_flags_rejected_where_nothing_reads_them(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
-            main(argv + ["--eps-angle", "0.5"])
+            main(argv)
         assert info.value.code == 2
 
     def test_eps_flags_rejected_with_selftest_model(self, capsys, tmp_path):
@@ -448,6 +481,27 @@ class TestStartWithoutNumpy:
                 "    for name in getattr(module, '__all__', ()):\n"
                 "        getattr(module, name)\n"
                 "sys.exit(3 if 'numpy' in sys.modules else 0)")
+        child = subprocess.run([sys.executable, "-c", code],
+                               capture_output=True, text=True,
+                               env=_child_env(), timeout=60)
+        assert child.returncode == 0, child.stderr
+
+    def test_library_chain(self):
+        # Gram vectors by pivoted Cholesky, the dual certificate by inertia,
+        # on a Q4 point (rank 2) and a facet point (Q5, rank 3)
+        code = textwrap.dedent("""\
+            import sys
+            from qbody import (Correlation, Functional, dual_completion,
+                               gram_vectors, solve_completion)
+            s = 0.5 ** 0.5
+            for c, r in (((s, s, s, -s), 2), ((1.0, 0.3, 0.2, 0.1), 3)):
+                comp = solve_completion(Correlation(*c))
+                gs = gram_vectors(comp.witness)
+                back = gs.correlation().as_tuple()
+                assert gs.r == comp.rank == r, (gs.r, comp.rank)
+                assert max(abs(x - y) for x, y in zip(back, c)) < 1e-9
+            assert dual_completion(Functional(0.2, 0.1, -0.3, 0.1)).feasible
+            sys.exit(3 if 'numpy' in sys.modules else 0)""")
         child = subprocess.run([sys.executable, "-c", code],
                                capture_output=True, text=True,
                                env=_child_env(), timeout=60)

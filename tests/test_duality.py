@@ -31,8 +31,9 @@ from qbody import (
 )
 
 from helpers import (CHSH_ANGLES, CHSH_POINT, EVEN_VERTEX_TUPLES, SQRT2,
-                     deep_interior_point, dual_completion_grid,
-                     random_symmetry, tetra_angles)
+                     certificate_matrix, deep_interior_point,
+                     dual_completion_grid, min_eigenvalue, random_symmetry,
+                     tetra_angles)
 
 
 class TestQuantumCase:
@@ -189,13 +190,14 @@ class TestDualCompletion:
         assert result.feasible
         assert result.witness.p1 == pytest.approx(0.5, abs=1e-9)
         assert result.witness.p3 == pytest.approx(0.5, abs=1e-9)
-        eigs = np.linalg.eigvalsh(result.witness.matrix())
+        eigs = np.linalg.eigvalsh(certificate_matrix(result.witness))
         assert np.allclose(eigs, [0, 0, 1, 1], atol=1e-9)
 
     def test_zero_functional(self):
         result = dual_completion(Functional(0, 0, 0, 0))
         assert result.feasible
-        assert np.allclose(result.witness.matrix(), 0.5 * np.eye(4), atol=1e-9)
+        assert np.allclose(certificate_matrix(result.witness), 0.5 * np.eye(4),
+                           atol=1e-9)
 
     def test_infeasible_outside_polar(self):
         assert not dual_completion(Functional(1, 1, 1, 1)).feasible
@@ -223,10 +225,10 @@ class TestDualCompletion:
             f_raw = dual_transform(
                 deep_interior_point(rng).as_tuple(), TransformDirection.TO_DUAL)
             f = Functional.from_sequence(f_raw)
-            C = solve_completion(c).witness.matrix()
+            C = certificate_matrix(solve_completion(c).witness)
             result = dual_completion(f)
             assert result.feasible
-            F = result.witness.matrix()
+            F = certificate_matrix(result.witness)
             assert float(np.trace(C @ F)) == pytest.approx(
                 2.0 - 2.0 * f.dot(c), abs=1e-10)
 
@@ -238,7 +240,7 @@ class TestDualCompletion:
         result = dual_completion(f)
         assert result.feasible
         assert result.support == s
-        assert result.witness.min_eigenvalue() == pytest.approx(
+        assert min_eigenvalue(result.witness) == pytest.approx(
             (1.0 - s) / 2.0, abs=1e-12)
 
     def test_maximizer_attains_support_in_q(self):
@@ -279,7 +281,7 @@ class TestDualCompletion:
         f = Functional(*entries)
         s = support(f)
         result = dual_completion(f)
-        lam = result.witness.min_eigenvalue()
+        lam = min_eigenvalue(result.witness)
         grid_feasible, _, grid_lam = dual_completion_grid(f)
         scale = max(1.0, float(np.linalg.norm(entries)))
         assert lam >= grid_lam - 1e-12

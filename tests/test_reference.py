@@ -34,7 +34,7 @@ from helpers import q3_point, q5_point, random_symmetry, tetra_angles
 
 _DIGITS = 40
 _ABS = 1e-14        # float error allowed against the reference, |x| <= 1
-_REL_TOL = 1e-9     # primal_polys' default
+_REL_TOL = 1e-9     # primal_polys' bound, core._REL_TOL
 
 
 def _g_mp(c):
