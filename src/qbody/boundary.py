@@ -67,7 +67,7 @@ from .core import (
     _check_finite,
     _g,
 )
-from .membership import Oracle, _parabola_interval, member
+from .membership import Oracle, _u_interval, member
 
 __all__ = [
     "AngleTuple",
@@ -354,21 +354,14 @@ def solve_completion(c: Correlation,
     c11, c12, c21, c22 = c.as_tuple()
     eps = tol.eps_boundary
 
-    b_u1 = (1.0 - c11 * c11) * (1.0 - c21 * c21)
-    b_u2 = (1.0 - c12 * c12) * (1.0 - c22 * c22)
-    a_u1, a_u2 = c11 * c21, c12 * c22
-    lu, ru = _parabola_interval(a_u1, b_u1, a_u2, b_u2, _Floats)
+    lu, ru = _u_interval(c11, c12, c21, c22, _Floats)
+    lv, rv = _u_interval(c11, c21, c12, c22, _Floats)
 
-    b_v1 = (1.0 - c11 * c11) * (1.0 - c12 * c12)
-    b_v2 = (1.0 - c21 * c21) * (1.0 - c22 * c22)
-    a_v1, a_v2 = c11 * c12, c21 * c22
-    lv, rv = _parabola_interval(a_v1, b_v1, a_v2, b_v2, _Floats)
-
-    # 2x2 principal minors 1 - c_ij^2 are the in-cube part of feasibility
+    # 2x2 principal minors 1 - c_ij^2 are the in-cube part of feasibility;
+    # they bound the parabola heights, products of two of them, from below
     quad_slack = min(1.0 - c11 * c11, 1.0 - c12 * c12,
                      1.0 - c21 * c21, 1.0 - c22 * c22)
-    feasible = (quad_slack >= -eps and b_u1 >= -eps and b_u2 >= -eps
-                and ru - lu >= -eps)
+    feasible = quad_slack >= -eps and ru - lu >= -eps
 
     u = min(1.0, max(-1.0, 0.5 * (lu + ru)))
     if 1.0 - u * u > 1e-12:

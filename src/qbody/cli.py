@@ -4,8 +4,9 @@ Points are flat JSON arrays ``[c11, c12, c21, c22]``, functionals
 ``[f11, f12, f21, f22]``, angles ``[alpha, beta, gamma, delta]`` in
 radians.  Output is JSON on stdout (CSV for the tabular subcommands when
 ``--out`` is given).  Exit status: 0 success, 1 domain error (with a
-machine-readable ``{"error": {...}}`` payload) or stdout closed before
-the output was written, 2 usage error.
+machine-readable ``{"error": {...}}`` payload, also for a result that holds
+an infinite or NaN number, which strict JSON cannot write) or stdout
+closed before the output was written, 2 usage error.
 """
 
 from __future__ import annotations
@@ -337,7 +338,13 @@ def main(argv: list[str] | None = None) -> int:
         result = {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
         status = 1
     try:
-        print(json.dumps(result), flush=True)
+        text = json.dumps(result, allow_nan=False)
+    except ValueError:  # strict JSON has no token for inf or nan
+        text, status = json.dumps({"error": {
+            "kind": "ConsistencyError",
+            "detail": "the result holds an infinite or NaN number"}}), 1
+    try:
+        print(text, flush=True)
     except BrokenPipeError:
         # the reader is gone; the flush at interpreter exit must not raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -207,10 +207,13 @@ def gauge(c: Correlation) -> float:
 
     Self-duality turns the gauge of ``Q`` into the support of ``Q°``,
     giving ``gauge(c) = support(½·H·c)``; points of ``Q`` are exactly
-    those with gauge at most 1.
+    those with gauge at most 1.  A point whose ``½·H·c`` leaves the float
+    range raises :class:`ConsistencyError`.
     """
-    f = Functional(*dual_transform(c.as_tuple(), TransformDirection.TO_DUAL))
-    return support(f)
+    half_hc = dual_transform(c.as_tuple(), TransformDirection.TO_DUAL)
+    if not all(map(math.isfinite, half_hc)):
+        raise ConsistencyError(f"Hc/2 overflows the float range: {half_hc!r}")
+    return support(Functional(*half_hc))
 
 
 def dual_member(f: Functional, oracle: Oracle = Oracle.SEMIALG,
@@ -238,6 +241,9 @@ def dual_member(f: Functional, oracle: Oracle = Oracle.SEMIALG,
 # Dual matrix completion
 # ---------------------------------------------------------------------------
 
+_BALANCE_TOL = 1e-10  # how far a certificate diagonal may sum from 2
+
+
 @dataclass(frozen=True)
 class DualCompletion(_Certificate):
     """Diagonal certificate for ``f ∈ Q°`` with balanced row sums."""
@@ -250,7 +256,7 @@ class DualCompletion(_Certificate):
 
     def __post_init__(self) -> None:
         total = self.p1 + self.p2 + self.p3 + self.p4
-        if abs(total - 2.0) > 1e-10:
+        if abs(total - 2.0) > _BALANCE_TOL:
             raise ValueError(f"diagonal sum {total!r} != 2")
 
     def rows(self) -> tuple[tuple[float, ...], ...]:
@@ -298,8 +304,12 @@ def dual_completion(f: Functional,
     maximizer ``c*`` of ``f`` (see the module docstring); ``c*`` is the
     even vertex on the classical branch, ``∇ sqrt(k/p)`` otherwise.
 
-    Raises :class:`ConsistencyError` when ``f`` is so large that the
-    balanced diagonal ``p2 = 1 - p1``, ``p4 = 1 - p3`` is not representable.
+    ``p1`` and ``p3`` sum ``f11·c11*``, ``f12·c12*`` (``f21·c21*``) and
+    ``(1-s)/2`` with ``|c*_ij| ≤ 1``, so rounding leaves them within
+    ``8·ε·(|f11| + max(|f12|, |f21|) + (1+s)/2)``, ``ε = 2^-52`` (errors
+    against 60-digit ``mpmath`` stayed under half of that).  Raises
+    :class:`ConsistencyError` when it exceeds the 1e-10 balance tolerance
+    (entries of order 1e4 and up): ``p2 = 1 - p1`` would still balance.
     """
     entries = f.as_tuple()
     s, c_star = 0.0, (0.0, 0.0, 0.0, 0.0)  # zero functional: s = 0 at 0
@@ -311,14 +321,14 @@ def dual_completion(f: Functional,
             if verdict.quantum_case else verdict.vertex
     p1 = entries[0] * c_star[0] + entries[1] * c_star[1] + 0.5 * (1.0 - s)
     p3 = entries[0] * c_star[0] + entries[2] * c_star[2] + 0.5 * (1.0 - s)
-    p2, p4 = 1.0 - p1, 1.0 - p3
-    if not abs(p1 + p2 + p3 + p4 - 2.0) <= 1e-10:
-        # |p1| or |p3| is so large (f about 1e16 and up) that 1 - p rounds
-        # the unit away
+    bound = 8.0 * sys.float_info.epsilon * (
+        abs(entries[0]) + max(abs(entries[1]), abs(entries[2]))
+        + 0.5 * (1.0 + s))
+    if bound > _BALANCE_TOL:
         raise ConsistencyError(
             f"the certificate diagonal cannot be balanced in floating point: "
-            f"p1 = {p1!r}, p3 = {p3!r}")
-    witness = DualCompletion(f=f, p1=p1, p2=p2, p3=p3, p4=p4)
+            f"p1 = {p1!r} and p3 = {p3!r} are known only to {bound:.1e}")
+    witness = DualCompletion(f=f, p1=p1, p2=1.0 - p1, p3=p3, p4=1.0 - p3)
     return DualCompletionResult(feasible=witness.is_psd(tol), witness=witness,
                                 support=s, maximizer=Correlation(*c_star))
 

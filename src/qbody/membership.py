@@ -97,12 +97,15 @@ def _inverse_pushout(v, xp):
     return (2.0 / math.pi) * xp.arcsin(xp.clip(v, -1.0, 1.0))
 
 
-def _parabola_interval(a1, b1, a2, b2, xp):
-    """Intersection ``(lo, hi)`` of the nonnegativity intervals of the
-    parabolas ``b1 - (u - a1)²`` and ``b2 - (u - a2)²``; empty if lo > hi."""
-    s1 = xp.sqrt(xp.maximum(b1, 0.0))
-    s2 = xp.sqrt(xp.maximum(b2, 0.0))
-    return xp.maximum(a1 - s1, a2 - s2), xp.minimum(a1 + s1, a2 + s2)
+def _u_interval(a, b, c, d, xp):
+    """The interval ``(lo, hi)``, empty if ``lo > hi``, where the free
+    entry ``u`` of the completion of ``(a, b, c, d)`` keeps the parabolas
+    ``(1 - a²)(1 - c²) - (u - a·c)²`` and ``(1 - b²)(1 - d²) - (u - b·d)²``
+    nonnegative; ``(a, c, b, d)`` gives the interval of ``v``."""
+    ac, bd = a * c, b * d
+    s1 = xp.sqrt(xp.maximum((1.0 - a * a) * (1.0 - c * c), 0.0))
+    s2 = xp.sqrt(xp.maximum((1.0 - b * b) * (1.0 - d * d), 0.0))
+    return xp.maximum(ac - s1, bd - s2), xp.minimum(ac + s1, bd + s2)
 
 
 def _classical(a, b, c, d, xp):
@@ -129,8 +132,7 @@ def _completion(a, b, c, d, xp):
     # entry u, plus the four 2x2 diagonal minors (the cube, quadratically).
     quad = xp.minimum(xp.minimum(1.0 - a * a, 1.0 - b * b),
                       xp.minimum(1.0 - c * c, 1.0 - d * d))
-    lo, hi = _parabola_interval(a * c, (1.0 - a * a) * (1.0 - c * c),
-                                b * d, (1.0 - b * b) * (1.0 - d * d), xp)
+    lo, hi = _u_interval(a, b, c, d, xp)
     return xp.minimum(quad, hi - lo)
 
 

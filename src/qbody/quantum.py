@@ -34,20 +34,19 @@ one of these relations by a macroscopic amount, which is what makes the
 relations a usable self-test.
 
 Two routes check, evaluate and self-test a model, chosen by its
-dimension ``d``.  Models with ``d ≤ 4`` (the family above and small
-hand-made models) run on Python floats in row tuples, so that these paths
-do not import numpy: the spectrum test counts eigenvalues by inertia
-(:func:`boundary._count_above`) and the self-test takes its bases from a
-one-sided Jacobi SVD.  Larger models (:func:`clifford_model` on R^64,
-mixtures of several components) run on numpy arrays.  Model fields hold
-what their builder made, row tuples from :func:`build_model` and
-:meth:`QuantumModel.from_json_dict`, arrays from :func:`clifford_model`
-and :func:`mixture_model`; each route converts what it is given on entry.
+dimension ``d``.  Models with ``d ≤ 4`` (the family above, Clifford models
+of Gram rank at most 2 and small hand-made models) run on Python floats in
+row tuples, so that these paths do not import numpy: the spectrum test
+counts eigenvalues by inertia (:func:`boundary._count_above`) and the
+self-test takes its bases from a one-sided Jacobi SVD.  Larger models
+(Clifford models of rank 3 and 4, mixtures of several components) run on
+numpy arrays.  Only :func:`mixture_model` makes arrays; every other
+builder, and :meth:`QuantumModel.from_json_dict`, makes row tuples, and
+each route converts what it is given on entry.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -85,9 +84,11 @@ _OBSERVABLES = ("A1", "A2", "B1", "B2")
 _EPS = 2.0 ** -52  # float64 machine epsilon, as numpy's ``finfo``
 _JACOBI_SWEEPS = 30
 
-# The building blocks of :func:`build_model`: the singlet ``psi`` and the
-# planar reflections ``M(tau)``, as rows.
+# The building blocks of the models, as rows: the singlet ``psi``, the
+# planar reflections ``M(tau)`` and the Pauli reflections sigma1, sigma3.
 _EYE2 = ((1.0, 0.0), (0.0, 1.0))
+_SIGMA1 = ((0.0, 1.0), (1.0, 0.0))
+_SIGMA3 = ((1.0, 0.0), (0.0, -1.0))
 _SINGLET_ROW = tuple(x / math.sqrt(2.0) for x in (0.0, 1.0, -1.0, 0.0))
 
 
@@ -181,6 +182,10 @@ def _kron(a, b) -> tuple[tuple[float, ...], ...]:
     """Kronecker product of two matrices given as row tuples."""
     return tuple([tuple([x * y for x in ra for y in rb])
                   for ra in a for rb in b])
+
+
+def _identity(n: int) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
 
 
 def build_model(t: AngleTuple) -> QuantumModel:
@@ -393,8 +398,8 @@ def _selftest_rows(psi, obs, d: int) -> SelfTestReport:
               for r12, r21 in zip(A1A2, A2A1)), 2.0 * u_value)
     residual_anticommutator = _max_abs(restrict(jordan))
 
-    eye = tuple(tuple(float(i == j) for j in range(d)) for i in range(d))
-    words = (eye, A1, A2, _matmul(A1, A1), A1A2, A2A1, _matmul(A2, A2))
+    words = (_identity(d), A1, A2, _matmul(A1, A1), A1A2, A2A1,
+             _matmul(A2, A2))
     residual_tracial = max(
         abs(_dot(psi, _matvec(M, psi))
             - sum(_dot(b, _matvec(M, b)) for b in basis) / r)
@@ -504,54 +509,42 @@ def _selftest_arrays(psi, obs, d: int) -> SelfTestReport:
 # Constructive realization of arbitrary Gram systems
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _clifford_generators() -> tuple[np.ndarray, ...]:
-    """Four pairwise-anticommuting real symmetric involutions on R^8.
-
-    Built from two commuting 2x2 building blocks (reflections sigma1,
-    sigma3 and the rotation eps with eps² = -1): three generators of this
-    kind exist on R^4, and doubling with a sigma1/sigma3 split extends
-    them to four on R^8.  Four such matrices cannot exist on R^4, which
-    pins the ambient dimension used below.
-    """
-    import numpy as np
-    s1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    s3 = np.array([[1.0, 0.0], [0.0, -1.0]])
-    eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    quad4 = (np.kron(s3, np.eye(2)), np.kron(s1, np.eye(2)), np.kron(eps, eps))
-    gens = tuple(np.kron(s1, q) for q in quad4) + (np.kron(s3, np.eye(4)),)
-    return gens
+def _clifford_generators(r: int) -> tuple[tuple[tuple[float, ...], ...], ...]:
+    """``r`` anticommuting real symmetric involutions on R^(2^(r-1)), as
+    rows: ``(1)`` for ``r = 1``, then ``sigma1 ⊗ g`` for each earlier
+    generator ``g`` and ``sigma3 ⊗ 1``.  No entry is nonzero in two
+    generators, so their linear combinations are exact."""
+    if r == 1:
+        return (((1.0,),),)
+    earlier = _clifford_generators(r - 1)
+    return tuple(_kron(_SIGMA1, g) for g in earlier) \
+        + (_kron(_SIGMA3, _identity(len(earlier[0]))),)
 
 
 def clifford_model(gs: GramSystem) -> QuantumModel:
     """Realize ``c_ij = a_i·b_j`` by contracting anticommuting generators.
 
-    Alice's observables are ``(Σ_k a_i^k γ_k) ⊗ 1`` and Bob's are
-    ``1 ⊗ (Σ_k b_j^k γ_k^T)`` on R^8 ⊗ R^8 with the maximally entangled
-    ``psi = Σ_m e_m ⊗ e_m / sqrt(8)``, for which
-    ``<psi| X ⊗ Y^T psi> = tr(XY)/8``; the generator trace relations then
-    reproduce the scalar products exactly.  Unit vectors make each
+    With the ``r`` generators ``γ_k`` on R^n, Alice's observables are
+    ``(Σ_k a_i^k γ_k) ⊗ 1`` and Bob's ``1 ⊗ (Σ_k b_j^k γ_k)`` on R^n ⊗ R^n,
+    ``d = 4^(r-1)``, with ``psi = Σ_m e_m ⊗ e_m / sqrt(n)``, for which
+    ``<psi| X ⊗ Y psi> = tr(XY)/n = a_i·b_j``.  Unit vectors make each
     observable an involution, so the hypotheses hold by construction.
     """
-    import numpy as np
-    r = gs.r
-    if r > 4:
-        raise DimensionTooLarge(f"Gram vectors live in R^{r}, maximum is 4")
-    generators = _clifford_generators()
-    dim = generators[0].shape[0]
-    eye = np.eye(dim)
+    if gs.r > 4:
+        raise DimensionTooLarge(f"Gram vectors live in R^{gs.r}, maximum is 4")
+    generators = _clifford_generators(gs.r)
+    n = len(generators[0])
+    eye = _identity(n)
 
-    def contract(vec: np.ndarray) -> np.ndarray:
-        padded = np.zeros(4)
-        padded[:r] = vec
-        return sum(padded[k] * generators[k] for k in range(4))
+    def contract(vec) -> tuple[tuple[float, ...], ...]:
+        vec = tuple(map(float, vec))
+        return tuple(tuple(_dot(vec, entries) for entries in zip(*rows))
+                     for rows in zip(*generators))
 
-    A1 = np.kron(contract(gs.a1), eye)
-    A2 = np.kron(contract(gs.a2), eye)
-    B1 = np.kron(eye, contract(gs.b1).T)
-    B2 = np.kron(eye, contract(gs.b2).T)
-    psi = np.eye(dim).reshape(-1) / math.sqrt(dim)
-    return QuantumModel(psi=psi, A1=A1, A2=A2, B1=B1, B2=B2, d=dim * dim)
+    A1, A2 = (_kron(contract(a), eye) for a in (gs.a1, gs.a2))
+    B1, B2 = (_kron(eye, contract(b)) for b in (gs.b1, gs.b2))
+    psi = tuple(x / math.sqrt(n) for row in eye for x in row)
+    return QuantumModel(psi=psi, A1=A1, A2=A2, B1=B1, B2=B2, d=n * n)
 
 
 def mixture_model(models: Sequence[tuple[float, QuantumModel]]) -> QuantumModel:

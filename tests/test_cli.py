@@ -233,6 +233,42 @@ class TestExitCodes:
         assert code == 1
         assert data["error"]["kind"] == "ConsistencyError"
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["dual", "--functional", "[1e15,1e15,1e15,-1e15]"],
+                     id="1e15"),
+        pytest.param(["dual", "--functional", "[1e200,1e200,1e200,-1e200]"],
+                     id="1e200"),
+    ])
+    def test_inexact_dual_certificate_is_domain_error(self, capsys, argv):
+        # p1 = p3 = 1/2 exactly, but the computed p1 is off by 0.25 at
+        # 1e15 and rounds to 0 at 1e200, where p1 + p2 is still 1
+        code, data = run_cli(capsys, *argv)
+        assert code == 1
+        assert data["error"]["kind"] == "ConsistencyError"
+        assert "cannot be balanced" in data["error"]["detail"]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["member", "--point", "[1e300,1e300,1e300,1e300]"],
+                     id="member completion margin"),
+        pytest.param(["dual", "--functional", "[1e200,1e200,1e200,-1e200]"],
+                     id="dual member margin"),
+    ])
+    def test_output_is_strict_json(self, capsys, argv):
+        code = main(argv)
+        out = capsys.readouterr().out
+        data = json.loads(out, parse_constant=lambda token: pytest.fail(
+            f"non-JSON token {token} in {out}"))
+        assert code == 1
+        assert data["error"]["kind"] == "ConsistencyError"
+
+    def test_overflowing_gauge_is_domain_error(self, capsys):
+        # Hc/2 sums four entries of 1e308 to inf
+        code, data = run_cli(capsys, "gauge", "--point",
+                             "[1e308,1e308,1e308,1e308]")
+        assert code == 1
+        assert data["error"]["kind"] == "ConsistencyError"
+        assert "the float range" in data["error"]["detail"]
+
     def test_overflowing_dual_transform_is_domain_error(self, capsys):
         code, data = run_cli(capsys, "dual", "--functional",
                              "[1.7e308,1e308,1.5e308,-1e308]")
@@ -488,11 +524,13 @@ class TestStartWithoutNumpy:
 
     def test_library_chain(self):
         # Gram vectors by pivoted Cholesky, the dual certificate by inertia,
-        # on a Q4 point (rank 2) and a facet point (Q5, rank 3)
+        # on a Q4 point (rank 2) and a facet point (Q5, rank 3); Clifford
+        # models of rank 2 and 1 on the row route
         code = textwrap.dedent("""\
             import sys
-            from qbody import (Correlation, Functional, dual_completion,
-                               gram_vectors, solve_completion)
+            from qbody import (Correlation, Functional, clifford_model,
+                               dual_completion, gram_vectors,
+                               selftest_residuals, solve_completion)
             s = 0.5 ** 0.5
             for c, r in (((s, s, s, -s), 2), ((1.0, 0.3, 0.2, 0.1), 3)):
                 comp = solve_completion(Correlation(*c))
@@ -500,6 +538,14 @@ class TestStartWithoutNumpy:
                 back = gs.correlation().as_tuple()
                 assert gs.r == comp.rank == r, (gs.r, comp.rank)
                 assert max(abs(x - y) for x, y in zip(back, c)) < 1e-9
+            for c, d in (((s, s, s, -s), 4), ((1.0, 1.0, 1.0, 1.0), 1)):
+                gs = gram_vectors(solve_completion(Correlation(*c)).witness)
+                model = clifford_model(gs)
+                report = selftest_residuals(model)
+                assert model.d == d, model.d
+                assert max(report.residual_bpsi, report.residual_squares,
+                           report.residual_anticommutator,
+                           report.residual_tracial) < 1e-12, report
             assert dual_completion(Functional(0.2, 0.1, -0.3, 0.1)).feasible
             sys.exit(3 if 'numpy' in sys.modules else 0)""")
         child = subprocess.run([sys.executable, "-c", code],

@@ -142,6 +142,12 @@ class TestGauge:
     def test_homogeneous_scaling(self):
         assert gauge(Correlation(1, 1, 1, -1)) == pytest.approx(SQRT2, abs=1e-12)
 
+    def test_overflowing_transform_is_a_domain_error(self):
+        # Hc/2 sums entries of 1e308 to inf; this must not surface as the
+        # ValueError of a non-finite Functional
+        with pytest.raises(ConsistencyError, match="overflows"):
+            gauge(Correlation(1e308, 1e308, 1e308, 1e308))
+
     def test_matches_membership_bisection(self):
         rng = np.random.default_rng(89)
         for _ in range(10000):
@@ -207,6 +213,19 @@ class TestDualCompletion:
         # cannot sum to 2; this must not surface as a ValueError
         with pytest.raises(ConsistencyError, match="cannot be balanced"):
             dual_completion(Functional(3e150, 1e150, 2e150, -1e150))
+
+    @pytest.mark.parametrize("scale", [1e15, 1e200])
+    def test_inexact_diagonal_is_a_domain_error(self, scale):
+        # the exact p1 = p3 = 1/2; the computed p1 is 0.75 at 1e15 and 0 at
+        # 1e200, while p1 + p2 = 1 holds in both
+        with pytest.raises(ConsistencyError, match="cannot be balanced"):
+            dual_completion(Functional(scale, scale, scale, -scale))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e4])
+    def test_certificate_is_exact_where_the_bound_holds(self, scale):
+        result = dual_completion(Functional(scale, scale, scale, -scale))
+        assert result.witness.p1 == pytest.approx(0.5, abs=1e-10)
+        assert result.witness.p3 == pytest.approx(0.5, abs=1e-10)
 
     def test_agrees_with_dual_membership(self):
         rng = np.random.default_rng(97)

@@ -125,13 +125,17 @@ class TestSelfTest:
 
 class TestCliffordModel:
     def test_generators_anticommute(self):
-        generators = quantum._clifford_generators()
-        for i, gi in enumerate(generators):
-            assert np.array_equal(gi, gi.T)
-            for j, gj in enumerate(generators):
-                anti = gi @ gj + gj @ gi
-                expected = 2.0 * np.eye(8) if i == j else np.zeros((8, 8))
-                assert np.abs(anti - expected).max() < 1e-14
+        for r in range(1, 5):
+            n = 2 ** (r - 1)
+            generators = [np.array(g) for g in quantum._clifford_generators(r)]
+            assert len(generators) == r
+            for i, gi in enumerate(generators):
+                assert gi.shape == (n, n)
+                assert np.array_equal(gi, gi.T)
+                for j, gj in enumerate(generators):
+                    anti = gi @ gj + gj @ gi
+                    expected = 2.0 * np.eye(n) if i == j else np.zeros((n, n))
+                    assert np.abs(anti - expected).max() < 1e-14
 
     def test_rank_two_realization(self):
         gs = gram_vectors(solve_completion(CHSH_POINT).witness)
@@ -139,12 +143,15 @@ class TestCliffordModel:
         c = correlations_of(model)
         assert np.allclose(c.as_array(), CHSH_POINT.as_array(), atol=1e-10)
         # independent check of the entangled-pair trace identity: with
-        # A1 = X x I and B1 = I x Y, the expectation equals tr(X Y)/8
-        X = model.A1[::8, ::8]
-        Y = model.B1[:8, :8]
-        psi = model.psi
-        assert psi @ (model.A1 @ (model.B1 @ psi)) == pytest.approx(
-            float(np.trace(X @ Y)) / 8, abs=1e-10)
+        # A1 = X x I and B1 = I x Y on R^n x R^n, the expectation equals
+        # tr(X Y)/n
+        n = math.isqrt(model.d)
+        A1, B1 = np.array(model.A1), np.array(model.B1)
+        psi = np.array(model.psi)
+        X = A1[::n, ::n]
+        Y = B1[:n, :n]
+        assert psi @ (A1 @ (B1 @ psi)) == pytest.approx(
+            float(np.trace(X @ Y)) / n, abs=1e-10)
 
     def test_aligned_vectors(self):
         e1 = np.array([1.0, 0.0])
@@ -163,6 +170,49 @@ class TestCliffordModel:
         gs = GramSystem(a1=basis[0], a2=basis[1], b1=basis[2], b2=basis[3])
         with pytest.raises(DimensionTooLarge):
             clifford_model(gs)
+
+    def test_dimension_follows_the_gram_rank(self):
+        rng = np.random.default_rng(127)
+        for r in range(1, 5):
+            for _ in range(5):
+                vecs = rng.normal(size=(4, r))
+                vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+                gs = GramSystem(*vecs)
+                model = clifford_model(gs)
+                assert model.d == 4 ** (r - 1)
+                assert len(model.psi) == model.d
+                c = correlations_of(model)
+                assert np.abs(c.as_array()
+                              - gs.correlation().as_array()).max() < 1e-12
+
+    def test_rank_sized_models_self_test_like_the_standard_model(self):
+        # every nonclassical extreme point is self-testing: the rank-2
+        # Clifford model of a Q4 point has the standard model's gamma and
+        # u, and satisfies every relation
+        rng = np.random.default_rng(131)
+        for t in tetra_angles(rng, 40):
+            gs = gram_vectors(solve_completion(t.cosines()).witness)
+            model = clifford_model(gs)
+            assert gs.r == 2 and model.d == 4
+            got, ref = selftest_residuals(model), selftest_residuals(
+                build_model(t))
+            assert np.abs(np.array(got.gamma) - np.array(ref.gamma)).max() \
+                <= 1e-12
+            assert got.u_value == pytest.approx(ref.u_value, abs=1e-12)
+            assert max(got.residual_bpsi, got.residual_squares,
+                       got.residual_anticommutator,
+                       got.residual_tracial) <= 1e-12
+
+    def test_json_round_trip_of_rank_four_model(self):
+        # the CHSH model of TestRowRoute is 4-dimensional; a full-rank
+        # interior witness gives a 64-dimensional model, in rows
+        c = deep_interior_point(np.random.default_rng(137))
+        model = clifford_model(gram_vectors(solve_completion(c).witness))
+        clone = QuantumModel.from_json_dict(model.to_json_dict())
+        assert isinstance(model.psi, tuple) and isinstance(model.A1, tuple)
+        assert model.d == clone.d == 64
+        assert correlations_of(clone) == correlations_of(model)
+        assert selftest_residuals(clone) == selftest_residuals(model)
 
     def test_soundness_on_interior_completions(self):
         rng = np.random.default_rng(113)
