@@ -154,8 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fix a coordinate, e.g. c11=-0.8 (repeatable)")
     p.add_argument("--normal", type=_normal_arg, default=None,
                    help="hyperplane normal as a JSON 4-array")
-    p.add_argument("--offset", type=float, default=0.0,
-                   help="hyperplane offset (normal . c = offset)")
+    p.add_argument("--offset", type=float, default=None,
+                   help="hyperplane offset (normal . c = offset), default 0")
     p.add_argument("--grid", type=int, default=50,
                    help="grid resolution per free axis")
     p.add_argument("--out", help="write CSV to this path instead of JSON")
@@ -299,9 +299,14 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         return {"points": [list(c.as_tuple()) for c in points]}
 
     if cmd == "slice":
+        if args.offset is not None and args.normal is None:
+            raise core.InvalidSlice("--offset needs --normal")
         fixed = dict(args.fix) if args.fix else None
+        if fixed is not None and len(fixed) < len(args.fix):
+            raise core.InvalidSlice("--fix names a coordinate twice")
         spec = measures.SliceSpec(fixed=fixed, normal=args.normal,
-                                  offset=args.offset, resolution=args.grid)
+                                  offset=0.0 if args.offset is None
+                                  else args.offset, resolution=args.grid)
         table = measures.slice_grid(spec, tol)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

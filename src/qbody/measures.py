@@ -224,9 +224,10 @@ class SliceSpec:
     """A 1-3 dimensional axis-aligned or hyperplane slice of the cube.
 
     Exactly one of ``fixed`` (coordinate name to value) or ``normal`` (a
-    4-vector, with ``offset``) must be given.  For a hyperplane the free
-    axes are the three coordinates other than the largest normal
-    component, which is solved for.  Every free axis spans [-1, 1];
+    4-vector, with ``offset``) must be given, and a nonzero ``offset``
+    only with ``normal``.  For a hyperplane the free axes are the three
+    coordinates other than the largest normal component, which is solved
+    for.  Every free axis spans [-1, 1];
     ``resolution`` is its number of grid nodes, one integer per free axis
     (a single integer applies to all).
     """
@@ -240,6 +241,8 @@ class SliceSpec:
         if (self.fixed is None) == (self.normal is None):
             raise InvalidSlice("specify exactly one of fixed or normal")
         if self.fixed is not None:
+            if self.offset != 0.0:
+                raise InvalidSlice("an offset needs a hyperplane normal")
             bad = set(self.fixed) - set(AXES)
             if bad:
                 raise InvalidSlice(f"unknown coordinates {sorted(bad)}")

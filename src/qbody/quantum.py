@@ -36,9 +36,12 @@ relations a usable self-test.
 Two routes check, evaluate and self-test a model, chosen by its
 dimension ``d``.  Models with ``d ≤ 4`` (the family above, Clifford models
 of Gram rank at most 2 and small hand-made models) run on Python floats in
-row tuples, so that these paths do not import numpy: the spectrum test
-counts eigenvalues by inertia (:func:`boundary._count_above`) and the
-self-test takes its bases from a one-sided Jacobi SVD.  Larger models
+row tuples, so that these paths do not import numpy, and the self-test
+takes its bases from a one-sided Jacobi SVD.  Their spectrum test first
+screens ``‖X‖₂²`` by the largest absolute row sum of ``X·Xᵀ``: a sum of
+at most ``1 + _SPECTRUM_TOL`` settles it, as for every involution the
+builders make.  Otherwise it counts the eigenvalues above 1 and below -1
+by inertia (:func:`boundary._count_above`).  Larger models
 (Clifford models of rank 3 and 4, mixtures of several components) run on
 numpy arrays.  Only :func:`mixture_model` makes arrays; every other
 builder, and :meth:`QuantumModel.from_json_dict`, makes row tuples, and
@@ -253,8 +256,41 @@ def _max_abs(X) -> float:
 _NOT_NUMBERS = "psi must be a vector and the observables matrices of numbers"
 
 
+def _norm_screen(X) -> bool:
+    """Whether a norm bound alone keeps the spectrum of ``X`` in ``[-1, 1]``.
+
+    ``S = X·Xᵀ`` (``d(d+1)/2`` row·row products, mirrored) is positive
+    semidefinite with largest eigenvalue ``‖X‖₂²``, which its largest
+    absolute row sum ``m`` bounds.  An involution has ``S = 1`` and passes
+    with room to spare.
+
+    The threshold is ``1 + _SPECTRUM_TOL`` on ``m``, a squared norm, so a
+    pass gives ``|λ| ≤ sqrt(1 + 1e-10) < 1 + 5e-11`` for every eigenvalue,
+    4.9e-11 below the counts' ``bound = 1 + 1e-10``.  The counts factor
+    ``±X - bound·1`` reading each off-diagonal pair from either triangle,
+    so the ``_SYMMETRY_TOL = 1e-12`` asymmetry the symmetry check allows
+    moves the eigenvalues they see by a few 1e-12, and their round-off by
+    about 1e-14: both counts would return 0, and they are skipped.
+    ``bound²`` as the threshold would let ``|λ|`` reach ``bound`` and leave
+    no room for either error.  A row sum that is NaN fails the screen.
+    """
+    d = len(X)
+    S = [[0.0] * d for _ in X]
+    for i, row in enumerate(X):
+        for j in range(i + 1):
+            S[i][j] = S[j][i] = abs(sum(map(mul, row, X[j])))
+    return all(sum(row) <= 1.0 + _SPECTRUM_TOL for row in S)
+
+
 def _checked_rows(m: QuantumModel):
-    """The validated fields as row tuples, numpy arrays converted."""
+    """The validated fields as row tuples, numpy arrays converted.
+
+    Each observable is checked for symmetry, skipped when it equals its
+    transpose exactly, and then for a spectrum in ``[-1, 1]``: by
+    :func:`_norm_screen` when that settles it, as it does for involutions,
+    and otherwise by two inertia counts (:func:`boundary._count_above`)
+    above ``1 + _SPECTRUM_TOL`` for ``X`` and ``-X``.
+    """
     d = m.d
     try:
         psi = tuple(m.psi.tolist()) if hasattr(m.psi, "tolist") else m.psi
@@ -275,18 +311,22 @@ def _checked_rows(m: QuantumModel):
         raise InvalidModel(f"|psi| = {norm!r} not normalized")
     bound = 1.0 + _SPECTRUM_TOL
     cols = [tuple(zip(*X)) for X in obs]
-    for name, X, XT in zip(_OBSERVABLES, obs, cols):
-        if max(map(abs, map(sub, chain(*X), chain(*XT)))) > _SYMMETRY_TOL:
+    exact = [X == XT for X, XT in zip(obs, cols)]
+    for name, X, XT, symmetric in zip(_OBSERVABLES, obs, cols, exact):
+        if not symmetric and max(map(abs, map(
+                sub, chain(*X), chain(*XT)))) > _SYMMETRY_TOL:
             raise InvalidModel(f"{name} not symmetric")
+        if _norm_screen(X):
+            continue
         if _count_above(X, bound):
             raise InvalidModel(
                 f"{name} spectrum leaves [-1, 1]: an eigenvalue above 1")
         if _count_above([[-x for x in row] for row in X], bound):
             raise InvalidModel(
                 f"{name} spectrum leaves [-1, 1]: an eigenvalue below -1")
-    for A, AT in zip(obs[:2], cols[:2]):
-        for B, BT in zip(obs[2:], cols[2:]):
-            if A == AT and B == BT:
+    for A, AT, a_exact in zip(obs[:2], cols[:2], exact[:2]):
+        for B, BT, b_exact in zip(obs[2:], cols[2:], exact[2:]):
+            if a_exact and b_exact:
                 # exactly symmetric A and B give (B·A)_ij = (A·B)_ji to
                 # the last bit (the same products, summed in the same
                 # order), so the commutator is antisymmetric with a zero

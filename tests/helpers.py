@@ -6,7 +6,7 @@ collar sizes are test choices, not library tolerances.
 """
 
 import math
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import numpy as np
 
@@ -19,10 +19,16 @@ from qbody import (
     Oracle,
     Tolerance,
     extreme_from_angles,
+    GramSystem,
+    InvalidModel,
+    build_model,
+    clifford_model,
     member,
     symmetry_group,
 )
-from qbody.boundary import _psd_threshold
+from qbody.boundary import _count_above, _psd_threshold
+from qbody.quantum import (_COMMUTATOR_TOL, _PSI_NORM_TOL, _SPECTRUM_TOL,
+                           _SYMMETRY_TOL, QuantumModel)
 
 SQRT2 = math.sqrt(2.0)
 CHSH_POINT = Correlation(1 / SQRT2, 1 / SQRT2, 1 / SQRT2, -1 / SQRT2)
@@ -216,3 +222,118 @@ def dual_completion_grid(f: Functional, tol: Tolerance = DEFAULT_TOLERANCE
                              p3=float(p3_best), p4=float(1.0 - p3_best))
     feasible = bool(val_best >= -_psd_threshold(witness.rows(), tol))
     return feasible, witness, float(val_best)
+
+
+_OBSERVABLE_NAMES = ("A1", "A2", "B1", "B2")
+
+
+def checked_rows_reference(m: QuantumModel):
+    """``quantum._checked_rows`` with no shortcut: every observable gets the
+    entrywise symmetry scan and both inertia counts, above ``1 +
+    _SPECTRUM_TOL`` for ``X`` and ``-X``, and every commutator the full
+    products.  Returns ``(psi, observables)`` as row tuples or raises
+    :class:`InvalidModel` with the library's message.  Entries must be
+    numbers."""
+    d = m.d
+    psi = tuple(m.psi.tolist()) if hasattr(m.psi, "tolist") else m.psi
+    obs = tuple(tuple(map(tuple, X.tolist())) if hasattr(X, "tolist") else X
+                for X in m.observables())
+    if len(psi) != d:
+        raise InvalidModel(f"psi has {len(psi)} entries, expected {d}")
+    for name, X in zip(_OBSERVABLE_NAMES, obs):
+        if len(X) != d or any(len(row) != d for row in X):
+            raise InvalidModel(f"{name} is not {d}x{d}")
+    if not all(map(math.isfinite, chain(psi, *chain(*obs)))):
+        raise InvalidModel("model entries must be finite")
+    norm = math.hypot(*psi)
+    if abs(norm - 1.0) > _PSI_NORM_TOL:
+        raise InvalidModel(f"|psi| = {norm!r} not normalized")
+    bound = 1.0 + _SPECTRUM_TOL
+    for name, X in zip(_OBSERVABLE_NAMES, obs):
+        if max(abs(X[i][j] - X[j][i])
+               for i in range(d) for j in range(d)) > _SYMMETRY_TOL:
+            raise InvalidModel(f"{name} not symmetric")
+        if _count_above(X, bound):
+            raise InvalidModel(
+                f"{name} spectrum leaves [-1, 1]: an eigenvalue above 1")
+        if _count_above([[-x for x in row] for row in X], bound):
+            raise InvalidModel(
+                f"{name} spectrum leaves [-1, 1]: an eigenvalue below -1")
+
+    def product_rows(X, Y):
+        return [sum(x * y for x, y in zip(row, col))
+                for row in X for col in zip(*Y)]
+
+    for A in obs[:2]:
+        for B in obs[2:]:
+            worst = max(abs(x - y) for x, y in zip(product_rows(A, B),
+                                                   product_rows(B, A)))
+            if worst > _COMMUTATOR_TOL:
+                raise InvalidModel(f"commutator norm {worst!r}")
+    return psi, obs
+
+
+VALIDATION_FAMILIES = ("involution", "scaled", "projector", "symmetric",
+                       "asymmetric", "built")
+
+
+def _rows(x: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    return tuple(map(tuple, x.tolist()))
+
+
+def validation_model(rng: np.random.Generator, family: str,
+                     d: int) -> QuantumModel:
+    """A random row-tuple model of ``family`` on R^d, ``d ≤ 4``, for the
+    differential tests of model validation.
+
+    The four observables share an eigenbasis, so they commute, except that
+    one time in four ``B2`` gets its own.  Their spectra are:
+
+    * ``involution``: signs, half the time with the rows symmetrized
+      exactly;
+    * ``scaled``: signs times ``1 ± 10^u``, ``u`` uniform in ``[-12, -8]``,
+      on both sides of the spectrum tolerance;
+    * ``projector``: ``{0, 1}``;
+    * ``symmetric``: uniform in ``[-1.2, 1.2]``;
+    * ``asymmetric``: signs, with ``1e-13`` added above the diagonal;
+    * ``built``: :func:`build_model` of random angles at ``d = 4`` and
+      :func:`clifford_model` of a random rank-``r`` Gram system at ``d =
+      4^(r-1)``, so ``d`` must be 1 or 4.
+    """
+    if family == "built":
+        if d == 4 and rng.integers(0, 2):
+            a, b, g = rng.uniform(-math.pi, math.pi, size=3)
+            return build_model(AngleTuple(a, b, g, -(a + b + g)))
+        r = {1: 1, 4: 2}[d]
+        units = rng.normal(size=(4, r))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        return clifford_model(GramSystem(*map(tuple, units.tolist())))
+
+    def basis() -> np.ndarray:
+        return np.linalg.qr(rng.normal(size=(d, d)))[0]
+
+    def observable(q: np.ndarray) -> np.ndarray:
+        signs = rng.choice((-1.0, 1.0), size=d)
+        if family == "scaled":
+            spectrum = signs * (1.0 + rng.choice((-1.0, 1.0))
+                                * 10.0 ** rng.uniform(-12.0, -8.0))
+        elif family == "projector":
+            spectrum = (signs + 1.0) / 2.0
+        elif family == "symmetric":
+            spectrum = rng.uniform(-1.2, 1.2, size=d)
+        else:
+            spectrum = signs
+        x = (q * spectrum) @ q.T
+        if family == "involution" and rng.integers(0, 2):
+            x = (x + x.T) / 2.0
+        elif family == "asymmetric":
+            x = x + np.triu(np.full((d, d), 1e-13), 1)
+        return x
+
+    q = basis()
+    mats = [observable(q) for _ in range(3)]
+    mats.append(observable(basis() if rng.integers(0, 4) == 0 else q))
+    psi = rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    return QuantumModel(psi=tuple(psi.tolist()), d=d,
+                        **dict(zip(_OBSERVABLE_NAMES, map(_rows, mats))))

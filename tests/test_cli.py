@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -12,6 +13,21 @@ from qbody import AngleTuple, build_model
 from qbody.cli import main
 
 from helpers import SQRT2
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of every ``qbody`` line of the README's command-line
+    block."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    return [shlex.split(line)[1:]
+            for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("qbody ")]
 
 
 def _child_env() -> dict:
@@ -150,6 +166,16 @@ class TestRoundTrips:
         assert report["residual_anticommutator"] < 1e-9
 
 
+class TestReadme:
+    @pytest.mark.parametrize("argv", _readme_commands(),
+                             ids=lambda argv: argv[0])
+    def test_command_line_example_exits_zero(self, capsys, tmp_path, argv):
+        # --out files land in tmp_path
+        argv = [str(tmp_path / os.path.basename(arg)) if flag == "--out"
+                else arg for flag, arg in zip([None] + argv, argv)]
+        assert main(argv) == 0, capsys.readouterr()
+
+
 class TestAngleTolerance:
     # the sum of these angles misses 0 by 1e-7
     LOOSE = "[0.3,0.4,0.5,-1.1999999]"
@@ -197,6 +223,11 @@ class TestFilesAndSeeds:
         assert code == 0 and data["rows"] == 5
         lines = out.read_text().splitlines()
         assert lines[0] == "c22,stratum,classical,g,h"
+
+    def test_hyperplane_offset_defaults_to_zero(self, capsys):
+        argv = ["slice", "--normal", "[1,1,1,-1]", "--grid", "3"]
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--offset",
+                                                 "0")
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("QBODY_SEED", "77")
@@ -339,6 +370,12 @@ class TestExitCodes:
         pytest.param(["--grid", "1", "--fix", "c11=0"], id="grid 1"),
         pytest.param(["--grid", "3", "--fix", "c11=0", "--fix", "c12=0",
                       "--fix", "c21=0", "--fix", "c22=0"], id="four fixes"),
+        pytest.param(["--grid", "3", "--fix", "c11=1", "--offset", "5"],
+                     id="offset without normal"),
+        pytest.param(["--grid", "3", "--offset", "0", "--fix", "c11=1"],
+                     id="zero offset without normal"),
+        pytest.param(["--grid", "3", "--fix", "c11=1", "--fix", "c11=0.5"],
+                     id="repeated fix"),
     ])
     def test_malformed_slice_is_two(self, capsys, argv):
         with pytest.raises(SystemExit) as info:

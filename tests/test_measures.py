@@ -268,6 +268,13 @@ class TestSliceGrid:
         with pytest.raises(InvalidSlice):
             SliceSpec(normal=(0, 0, 0, 0)).free_axes()
 
+    def test_offset_needs_a_normal(self):
+        # an axis-aligned slice has no offset to honour
+        with pytest.raises(InvalidSlice, match="offset"):
+            SliceSpec(fixed={"c11": 1.0}, offset=5.0).free_axes()
+        assert SliceSpec(fixed={"c11": 1.0}, offset=0.0).free_axes() == [
+            "c12", "c21", "c22"]
+
     def test_csv_format(self):
         table = slice_grid(SliceSpec(fixed={"c11": 1.0, "c12": 1.0,
                                             "c21": 1.0}, resolution=3))

@@ -24,8 +24,9 @@ from qbody import (
 from qbody import quantum
 from qbody.quantum import QuantumModel
 
-from helpers import (CHSH_ANGLES, CHSH_POINT, SINGLET_PSI, deep_interior_point,
-                     reflection_matrix, tetra_angles)
+from helpers import (CHSH_ANGLES, CHSH_POINT, SINGLET_PSI, VALIDATION_FAMILIES,
+                     checked_rows_reference, deep_interior_point, q4_point,
+                     reflection_matrix, tetra_angles, validation_model)
 
 
 def _scalar_model(values):
@@ -464,3 +465,69 @@ class TestValidation:
                       selftest_residuals):
             with pytest.raises(InvalidModel, match="finite"):
                 check(bad)
+
+
+def _outcome(check, model):
+    """What a validation returns: the rows, or the ``InvalidModel`` message."""
+    try:
+        return check(model)
+    except InvalidModel as err:
+        return str(err)
+
+
+class TestSpectrumScreen:
+    @pytest.mark.parametrize("family", VALIDATION_FAMILIES)
+    def test_matches_the_reference(self, family):
+        rng = np.random.default_rng(401 + VALIDATION_FAMILIES.index(family))
+        for d in (1, 4) if family == "built" else (1, 2, 3, 4):
+            for _ in range(200):
+                model = validation_model(rng, family, d)
+                assert _outcome(quantum._checked_rows, model) == _outcome(
+                    checked_rows_reference, model)
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = []
+
+        def counted(rows, shift):
+            calls.append(shift)
+            return count_above(rows, shift)
+
+        count_above = quantum._count_above
+        monkeypatch.setattr(quantum, "_count_above", counted)
+        return calls
+
+    def test_involutions_skip_the_counts(self, counts):
+        rng = np.random.default_rng(409)
+        for t in tetra_angles(rng, 5):
+            correlations_of(build_model(t))
+        for _ in range(5):
+            gs = gram_vectors(solve_completion(q4_point(rng)).witness)
+            assert gs.r == 2
+            correlations_of(clifford_model(gs))
+        assert counts == []
+
+    def test_other_spectra_reach_the_counts(self, counts):
+        # a projector onto (cos 0.4, sin 0.4) has row sums of |P·Pᵀ| = |P|
+        # above 1, though its spectrum {0, 1} is inside [-1, 1]
+        v = (math.cos(0.4), math.sin(0.4))
+        projector = _two_dim(A1=tuple(tuple(x * y for y in v) for x in v))
+        assert _outcome(quantum._checked_rows, projector) == \
+            checked_rows_reference(projector)
+        assert len(counts) == 2
+        counts.clear()
+        # the screen bounds |λ|², so an eigenvalue of 1 + 7e-11, inside the
+        # counts' bound 1 + 1e-10, must still be counted
+        inside = _two_dim(A1=((1.0 + 7e-11, 0.0), (0.0, 1.0)))
+        assert _outcome(quantum._checked_rows, inside) == \
+            checked_rows_reference(inside)
+        assert len(counts) == 2
+        counts.clear()
+        # an eigenvalue of 1 + 2e-10 fails the screen and then the count
+        above = _two_dim(A1=((1.0 + 2e-10, 0.0), (0.0, 1.0)))
+        message = "A1 spectrum leaves [-1, 1]: an eigenvalue above 1"
+        assert _outcome(checked_rows_reference, above) == message
+        with pytest.raises(InvalidModel) as err:
+            correlations_of(above)
+        assert str(err.value) == message
+        assert len(counts) == 1
