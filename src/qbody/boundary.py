@@ -67,7 +67,7 @@ from .core import (
     _check_finite,
     _g,
 )
-from .membership import Oracle, _u_interval, member
+from .membership import Oracle, _completion, _u_interval, member
 
 __all__ = [
     "AngleTuple",
@@ -340,16 +340,17 @@ def solve_completion(c: Correlation,
                      tol: Tolerance = DEFAULT_TOLERANCE) -> CompletionResult:
     """Solve the unit-diagonal completion problem for ``c``.
 
-    Feasibility follows the two-parabola criterion; ``feasible=False`` is a
-    result, not an error.  The reported witness takes ``u`` at the midpoint
-    of the feasible interval and ``v`` from the closed-form determinant
-    maximizer (falling back to the ``v``-interval midpoint when ``|u| = 1``
-    makes the formula singular).  ``unique`` records whether both intervals
+    Feasibility follows the two-parabola criterion, the ``COMPLETION``
+    margin of :func:`qbody.membership.member` at ``-tol.eps_boundary``;
+    ``feasible=False`` is a result, not an error.  The reported witness
+    takes ``u`` at the midpoint of the feasible interval and ``v`` from the
+    closed-form determinant maximizer (falling back to the ``v``-interval
+    midpoint when ``|u| = 1`` makes the formula singular).  ``unique`` records whether both intervals
     degenerate to points, which happens exactly on the boundary of ``Q``.
     ``rank`` is the numerical rank of the witness at the relative
     eigenvalue threshold ``tol.eps_psd``.  Its inertia count runs when
-    ``rank`` is first read, so callers that need only feasibility, such as
-    ``member``, do no linear algebra.
+    ``rank`` is first read, so callers that need only feasibility do no
+    linear algebra.
     """
     c11, c12, c21, c22 = c.as_tuple()
     eps = tol.eps_boundary
@@ -357,11 +358,7 @@ def solve_completion(c: Correlation,
     lu, ru = _u_interval(c11, c12, c21, c22, _Floats)
     lv, rv = _u_interval(c11, c21, c12, c22, _Floats)
 
-    # 2x2 principal minors 1 - c_ij^2 are the in-cube part of feasibility;
-    # they bound the parabola heights, products of two of them, from below
-    quad_slack = min(1.0 - c11 * c11, 1.0 - c12 * c12,
-                     1.0 - c21 * c21, 1.0 - c22 * c22)
-    feasible = quad_slack >= -eps and ru - lu >= -eps
+    feasible = _completion(c11, c12, c21, c22, _Floats, (lu, ru)) >= -eps
 
     u = min(1.0, max(-1.0, 0.5 * (lu + ru)))
     if 1.0 - u * u > 1e-12:
@@ -405,6 +402,12 @@ def classify(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE,
     When ``check_rank`` is set, boundary verdicts are cross-checked against
     the completion rank table and a mismatch raises
     :class:`AmbiguousClassification`.
+
+    Exception set: within ``eps_boundary`` of a cube facet, ``eps_boundary``
+    is both a coordinate distance (``|c_ij| ≥ 1 - eps`` saturates) and a
+    margin slack (the facet cubic, the rank check).  Where the two uses
+    disagree the point raises :class:`AmbiguousClassification`; eight
+    points of three seeded 20,000-point angle sweeps are pinned in tests.
     """
     eps = tol.eps_boundary
     verdict = member(c, Oracle.SEMIALG, tol)

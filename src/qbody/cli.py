@@ -12,6 +12,7 @@ closed before the output was written, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -26,7 +27,7 @@ _BODIES = {b.value: b for b in measures.Body}
 _TARGETS = {t.value: t for t in measures.SampleTarget}
 
 
-def _vector(text: str, what: str) -> list[float]:
+def _vector(text: str, what: str, convert=list):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -36,12 +37,17 @@ def _vector(text: str, what: str) -> list[float]:
                        for v in data):
         raise argparse.ArgumentTypeError(
             f"{what} must be a JSON array of 4 numbers")
-    return [float(v) for v in data]
+    try:
+        return convert([float(v) for v in data])
+    except ValueError as exc:  # a non-finite entry
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 _point_arg, _functional_arg, _angles_arg, _normal_arg = (
-    functools.partial(_vector, what=flag)
-    for flag in ("--point", "--functional", "--angles", "--normal"))
+    functools.partial(_vector, what=flag, convert=convert)
+    for flag, convert in (("--point", Correlation.from_sequence),
+                          ("--functional", Functional.from_sequence),
+                          ("--angles", list), ("--normal", list)))
 
 
 def _fix_arg(text: str) -> tuple[str, float]:
@@ -181,37 +187,37 @@ def _verdict_dict(v: membership.MembershipVerdict) -> dict:
     }
 
 
-def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
+def _write_csv(path: str, columns, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        measures.write_csv(fh, columns, rows)
+
+
+def _run(args: argparse.Namespace) -> dict:
     cmd = args.command
     tol = Tolerance(**_eps_given(args))
 
     if cmd == "member":
-        c = Correlation.from_sequence(args.point)
         names = sorted(_ORACLES) if args.oracle == "all" else [args.oracle]
-        return {name: _verdict_dict(membership.member(c, _ORACLES[name], tol))
+        return {name: _verdict_dict(membership.member(args.point,
+                                                      _ORACLES[name], tol))
                 for name in names}
 
     if cmd == "classify":
-        c = Correlation.from_sequence(args.point)
-        stratum = boundary.classify(c, tol)
-        return {"stratum": stratum.value}
+        return {"stratum": boundary.classify(args.point, tol).value}
 
     if cmd == "support":
-        f = Functional.from_sequence(args.functional)
-        if max(abs(v) for v in f.as_tuple()) == 0.0:
+        if max(abs(v) for v in args.functional) == 0.0:
             return {"phi": 0.0, "case": "zero"}
-        verdict = duality.quantum_case(f)
+        verdict = duality.quantum_case(args.functional)
         return {"phi": verdict.phi,
                 "case": "quantum" if verdict.quantum_case else "classical"}
 
     if cmd == "gauge":
-        c = Correlation.from_sequence(args.point)
-        return {"gauge": duality.gauge(c)}
+        return {"gauge": duality.gauge(args.point)}
 
     if cmd == "dual":
-        f = Functional.from_sequence(args.functional)
-        verdict = duality.dual_member(f, tol=tol)
-        completion = duality.dual_completion(f, tol)
+        verdict = duality.dual_member(args.functional, tol=tol)
+        completion = duality.dual_completion(args.functional, tol)
         return {
             "member": _verdict_dict(verdict),
             "support": completion.support,
@@ -223,20 +229,14 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         }
 
     if cmd == "complete":
-        c = Correlation.from_sequence(args.point)
-        result = boundary.solve_completion(c, tol)
-        return {
-            "feasible": result.feasible,
-            "u": result.witness.u,
-            "v": result.witness.v,
-            "unique": result.unique,
-            "rank": result.rank,
-        }
+        result = boundary.solve_completion(args.point, tol)
+        return {"feasible": result.feasible, "u": result.witness.u,
+                "v": result.witness.v, "unique": result.unique,
+                "rank": result.rank}
 
     if cmd == "angles":
         if args.point is not None:
-            t = boundary.angles_from_point(
-                Correlation.from_sequence(args.point), tol)
+            t = boundary.angles_from_point(args.point, tol)
             return {"angles": list(t.as_tuple())}
         t = boundary.AngleTuple(*args.angles, eps=tol.eps_angle)
         ext = boundary.extreme_from_angles(t, tol)
@@ -246,8 +246,7 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         if args.angles is not None:
             t = boundary.AngleTuple(*args.angles, eps=tol.eps_angle)
         else:
-            t = boundary.angles_from_point(
-                Correlation.from_sequence(args.point), tol)
+            t = boundary.angles_from_point(args.point, tol)
         f = boundary.exposing_functional(t, tol)
         return {"functional": list(f.as_tuple())}
 
@@ -270,31 +269,19 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         else:
             with open(args.model, encoding="utf-8") as fh:
                 model = quantum.QuantumModel.from_json_dict(json.load(fh))
-        report = quantum.selftest_residuals(model)
-        return {
-            "gamma": report.gamma,
-            "residual_bpsi": report.residual_bpsi,
-            "residual_squares": report.residual_squares,
-            "residual_anticommutator": report.residual_anticommutator,
-            "residual_tracial": report.residual_tracial,
-            "u_value": report.u_value,
-        }
+        return dataclasses.asdict(quantum.selftest_residuals(model))
 
     if cmd == "volume":
         seed = args.seed if args.seed is not None else _default_seed()
         cfg = measures.SamplerConfig(seed=seed, samples=args.samples)
-        estimate = measures.mc_volume(_BODIES[args.body], cfg)
-        return {"fraction": estimate.fraction, "stderr": estimate.stderr}
+        return dataclasses.asdict(measures.mc_volume(_BODIES[args.body], cfg))
 
     if cmd == "sample":
         seed = args.seed if args.seed is not None else _default_seed()
         cfg = measures.SamplerConfig(seed=seed, samples=args.samples)
         points = measures.sample(_TARGETS[args.target], cfg)
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(",".join(measures.AXES) + "\n")
-                for c in points:
-                    fh.write(",".join(f"{v:.17g}" for v in c.as_tuple()) + "\n")
+            _write_csv(args.out, measures.AXES, [c.as_tuple() for c in points])
             return {"written": args.out, "count": len(points)}
         return {"points": [list(c.as_tuple()) for c in points]}
 
@@ -309,22 +296,18 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
                                   else args.offset, resolution=args.grid)
         table = measures.slice_grid(spec, tol)
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                table.write_csv(fh)
+            _write_csv(args.out, table.columns, table.rows)
             return {"written": args.out, "rows": len(table.rows)}
         return {"columns": list(table.columns),
                 "rows": [list(row) for row in table.rows]}
 
     if cmd == "orbit":
-        c = Correlation.from_sequence(args.point)
-        points = core.orbit(c, tol)
+        points = core.orbit(args.point, tol)
         return {"size": len(points),
                 "orbit": [list(p.as_tuple()) for p in points]}
 
     if cmd == "ncycle":
-        c = Correlation.from_sequence(args.point)
-        f = Functional.from_sequence(args.functional)
-        residuals = duality.ncycle_residuals(c, f)
+        residuals = duality.ncycle_residuals(args.point, args.functional)
         return {"names": list(duality.NCYCLE_RESIDUAL_NAMES),
                 "residuals": list(residuals)}
 

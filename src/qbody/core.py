@@ -379,11 +379,15 @@ def primal_polys(c: Correlation) -> PrimalPolys:
 
     ``h`` is reported from the degree-6 product form; the squared form is
     evaluated as well and the two must agree within ``_REL_TOL`` relative
-    to ``max(1, |h|)``, otherwise :class:`ConsistencyError` is raised.
+    to ``max(1, |h|)``, otherwise :class:`ConsistencyError` is raised, as it
+    is first when ``g`` or ``h`` leaves the float range.
     """
     t = c.as_tuple()
     g = _g(*t)
     h = _h(*t)
+    if not (math.isfinite(g) and math.isfinite(h)):
+        raise ConsistencyError(
+            f"g or h of {c!r} overflows the float range: g={g!r}, h={h!r}")
     h_alt = _h_squared(*t)
     _assert_close(h, h_alt, _REL_TOL, "two evaluation forms of h disagree")
     return PrimalPolys(g=g, h=h)

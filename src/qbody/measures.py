@@ -278,16 +278,16 @@ class SliceTable:
     rows: list[tuple]
 
     def write_csv(self, stream: TextIO) -> None:
-        """UTF-8 CSV with LF line endings and 17-significant-digit floats."""
-        stream.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            parts = []
-            for value in row:
-                if isinstance(value, float):
-                    parts.append(f"{value:.17g}")
-                else:
-                    parts.append(str(value))
-            stream.write(",".join(parts) + "\n")
+        write_csv(stream, self.columns, self.rows)
+
+
+def write_csv(stream: TextIO, columns: Sequence[str],
+              rows: Sequence[Sequence]) -> None:
+    """UTF-8 CSV with LF line endings and 17-significant-digit floats."""
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def slice_grid(spec: SliceSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> SliceTable:
@@ -312,9 +312,12 @@ def slice_grid(spec: SliceSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> SliceTabl
     else:
         (dependent,) = set(range(4)) - set(at_free)
         acc = spec.offset
-        for i in at_free:
-            acc = acc - float(spec.normal[i]) * nodes[:, i]
-        nodes[:, dependent] = acc / float(spec.normal[dependent])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in at_free:
+                acc = acc - float(spec.normal[i]) * nodes[:, i]
+            nodes[:, dependent] = acc / float(spec.normal[dependent])
+        if not np.isfinite(nodes).all():
+            raise InvalidSlice("the hyperplane leaves the float range")
     classical = classical_margin_batch(nodes) >= 0.0
 
     rows = []

@@ -5,7 +5,8 @@ entry point, :func:`member`:
 
 * ``SEMIALG``    in-cube and (``g(c) ≥ 0`` or ``h(c) ≥ 0``),
 * ``PUSHOUT``    the inverse coordinatewise sine map lands in CL,
-* ``COMPLETION`` the 4x4 unit-diagonal matrix completion is feasible,
+* ``COMPLETION`` the 4x4 unit-diagonal matrix completion is feasible, by
+  the kernel that :func:`qbody.boundary.solve_completion` reads,
 * ``TIMO``       single inequality ``g ≥ -2·sqrt(Π(1-c_ij²))`` in the cube,
 * ``LANDAU``     ``sqrt((1-c11²)(1-c12²)) + sqrt((1-c21²)(1-c22²)) ≥
   |c11·c12 - c21·c22|`` in the cube.
@@ -126,13 +127,14 @@ def _pushout(a, b, c, d, xp):
     return xp.minimum(_cube_slack(a, b, c, d, xp), _classical(*inv, xp))
 
 
-def _completion(a, b, c, d, xp):
+def _completion(a, b, c, d, xp, u_interval=None):
     # Positive-semidefinite completability reduces to the intersection of
     # the nonnegativity intervals of two downward parabolas in the free
     # entry u, plus the four 2x2 diagonal minors (the cube, quadratically).
+    # A caller that holds _u_interval(a, b, c, d, xp) passes it.
     quad = xp.minimum(xp.minimum(1.0 - a * a, 1.0 - b * b),
                       xp.minimum(1.0 - c * c, 1.0 - d * d))
-    lo, hi = _u_interval(a, b, c, d, xp)
+    lo, hi = u_interval or _u_interval(a, b, c, d, xp)
     return xp.minimum(quad, hi - lo)
 
 
@@ -216,20 +218,22 @@ def member(c: Correlation, oracle: Oracle = Oracle.SEMIALG,
     All oracles agree exactly as sets; floating-point verdicts may differ
     within ``tol.eps_boundary`` of the boundary.
 
-    For ``COMPLETION`` the verdict is delegated to the matrix-completion
-    solver in :mod:`qbody.boundary` and must match the local interval
-    margin's sign away from the boundary band.
+    ``COMPLETION`` is inside down to a margin of ``-tol.eps_boundary``, as
+    :func:`qbody.boundary.solve_completion` is feasible.  Its sign must match
+    the ``SEMIALG`` margin's (``g ≥ 0`` or ``h ≥ 0``) where both margins
+    lie outside the band, otherwise :class:`ConsistencyError` is raised.
     """
-    margin = _margin_kernel(oracle)(*c.as_tuple(), _Floats)
+    vals = c.as_tuple()
+    margin = _margin_kernel(oracle)(*vals, _Floats)
+    inside = margin >= 0.0
     if oracle is Oracle.COMPLETION:
-        from . import boundary
-        feasible = boundary.solve_completion(c, tol).feasible
-        if feasible != (margin >= 0.0) and abs(margin) > tol.eps_boundary:
-            raise ConsistencyError(
-                f"completion solver verdict {feasible} contradicts interval "
-                f"margin {margin!r}")
-        return MembershipVerdict(inside=feasible, margin=margin, oracle=oracle)
-    return MembershipVerdict(inside=margin >= 0.0, margin=margin, oracle=oracle)
+        semialg = _semialg(*vals, _Floats)
+        if inside != (semialg >= 0.0) \
+                and min(abs(margin), abs(semialg)) > tol.eps_boundary:
+            raise ConsistencyError(f"completion margin {margin!r} contradicts "
+                                   f"semialgebraic margin {semialg!r}")
+        inside = margin >= -tol.eps_boundary
+    return MembershipVerdict(inside=inside, margin=margin, oracle=oracle)
 
 
 # ---------------------------------------------------------------------------

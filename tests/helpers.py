@@ -170,6 +170,27 @@ def boundary_cl_points(rng: np.random.Generator, n: int) -> list[Correlation]:
     return out
 
 
+# Entries that sit on, or a rounding step from, the cube's faces, and
+# entries whose squares underflow, approach or leave the float range.
+EDGE_ENTRIES = (0.0, 1.0, -1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1e-200, 1e300,
+                -1e300, 1e154, 2.0)
+
+
+def completion_points(rng: np.random.Generator, n: int) -> list[Correlation]:
+    """``n`` points, a quarter from each family: uniform in the cube,
+    uniform in ``[-1.3, 1.3]⁴``, cosines of angle tuples on the torus with
+    each entry nudged by 0, ±1e-12 or ±1e-8, and entries drawn from
+    ``EDGE_ENTRIES``."""
+    k = n // 4
+    abg = rng.uniform(-math.pi, math.pi, size=(k, 3))
+    torus = np.cos(np.column_stack([abg, -abg.sum(axis=1)])) + rng.choice(
+        (-1e-8, -1e-12, 0.0, 1e-12, 1e-8), size=(k, 4))
+    rows = np.concatenate([rng.uniform(-1.0, 1.0, size=(k, 4)),
+                           rng.uniform(-1.3, 1.3, size=(k, 4)), torus,
+                           rng.choice(EDGE_ENTRIES, size=(n - 3 * k, 4))])
+    return [Correlation(*row) for row in rows.tolist()]
+
+
 _GRID = 64
 _REFINEMENTS = 40
 

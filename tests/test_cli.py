@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,8 @@ import textwrap
 import pytest
 
 import qbody
-from qbody import AngleTuple, build_model
+from qbody import (AngleTuple, Body, SamplerConfig, build_model, mc_volume,
+                   selftest_residuals)
 from qbody.cli import main
 
 from helpers import SQRT2
@@ -229,6 +231,18 @@ class TestFilesAndSeeds:
         assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--offset",
                                                  "0")
 
+    @pytest.mark.parametrize("argv, report", [
+        (["selftest", "--angles", "[0.3,0.4,0.5,-1.2]"],
+         lambda: selftest_residuals(build_model(AngleTuple(0.3, 0.4, 0.5,
+                                                           -1.2)))),
+        (["volume", "--body", "cl", "--samples", "5000", "--seed", "4"],
+         lambda: mc_volume(Body.CL, SamplerConfig(seed=4, samples=5000))),
+    ], ids=["selftest", "volume"])
+    def test_report_is_printed_as_returned(self, capsys, argv, report):
+        assert main(argv) == 0
+        assert capsys.readouterr().out \
+            == json.dumps(dataclasses.asdict(report())) + "\n"
+
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("QBODY_SEED", "77")
         code1, data1 = run_cli(capsys, "volume", "--body", "cl",
@@ -313,6 +327,8 @@ class TestExitCodes:
                       "[1e200,0,0,0]"], id="ncycle power"),
         pytest.param(["ncycle", "--point", "[1e100,0,0,0]", "--functional",
                       "[1e100,0,0,0]"], id="ncycle product"),
+        pytest.param(["slice", "--normal", "[1,0,0,0]", "--offset", "1e308",
+                      "--grid", "2"], id="slice g and h"),
     ])
     def test_overflow_is_domain_error(self, capsys, argv):
         code, data = run_cli(capsys, *argv)
@@ -383,6 +399,30 @@ class TestExitCodes:
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "qbody: error:" in captured.err
+
+    def test_slice_beyond_float_range_is_two(self, capsys):
+        # the dependent coordinate is 1/1e-320; the error names the slice,
+        # not a coordinate the user never typed
+        with pytest.raises(SystemExit) as info:
+            main(["slice", "--normal", "[1e-320,0,0,0]", "--offset", "1",
+                  "--grid", "2"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err \
+            == "qbody: error: the hyperplane leaves the float range\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["member", "--point", "[NaN,0,0,0]"],
+        ["classify", "--point", "[0,1e400,0,0]"],
+        ["ncycle", "--point", "[0,0,-Infinity,0]", "--functional",
+         "[1,0,0,0]"],
+        ["ncycle", "--point", "[0,0,0,0]", "--functional",
+         "[0,0,0,Infinity]"],
+    ], ids=["member", "classify", "ncycle point", "ncycle functional"])
+    def test_non_finite_points_are_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entries, detail", [
         pytest.param([("B1", 7, 7, 1.5)],

@@ -54,6 +54,14 @@ class TestPrimalPolys:
             assert _h(*row) == pytest.approx(
                 _h_squared(*row), rel=1e-9, abs=1e-9)
 
+    # the parent of this check reported the first as a disagreement of the
+    # two h forms and returned h = -inf for the second
+    @pytest.mark.parametrize("entries", [(1e308, -1.0, -1.0, -1.0),
+                                         (1e60, 1e60, 1e60, 0.5)])
+    def test_overflow_is_named(self, entries):
+        with pytest.raises(ConsistencyError, match="overflows the float range"):
+            primal_polys(Correlation(*entries))
+
 
 class TestDualPolys:
     def test_dual_boundary_point(self):

@@ -125,20 +125,32 @@ class TestCompletionRank:
         for c, stratum in _stratum_points(rng, 100):
             assert solve_completion(c).rank == expected[stratum]
 
-    # the sweep cos(α, β, γ, -α-β-γ) over default_rng(1) on (0, π)³, where
-    # classify is known to raise; the rank in the first message must not move
-    @pytest.mark.parametrize("index, message", [
-        (4463, "stratum Q5 expects a unique rank-3 completion, got "
-               "feasible=True rank=4 unique=False"),
-        (5450, "facet point outside its elliptope but inside the margin "
-               "band"),
-        (15954, "facet point outside its elliptope but inside the margin "
-                "band"),
-    ], ids=["4463", "5450", "15954"])
-    def test_sweep_faults_keep_their_messages(self, index, message):
-        a, b, g = np.random.default_rng(1).uniform(
-            0.0, math.pi, size=(20000, 3))[index].tolist()
+    # sweeps of 20,000 points cos(α, β, γ, -α-β-γ), (α, β, γ) uniform in
+    # (low, π)³, where classify is known to raise; the first three points
+    # are the ROADMAP sweep, the rest are held out from it.  The rank in a
+    # rank message must not move
+    _FACET = "facet point outside its elliptope but inside the margin band"
+
+    @pytest.mark.parametrize("seed, low, index, message", [
+        (1, 0.0, 4463, "stratum Q5 expects a unique rank-3 completion, got "
+                       "feasible=True rank=4 unique=False"),
+        (1, 0.0, 5450, _FACET),
+        (1, 0.0, 15954, _FACET),
+        (3, 0.0, 3925, _FACET),
+        (3, 0.0, 11195, "stratum Q5 expects a unique rank-3 completion, got "
+                        "feasible=True rank=3 unique=False"),
+        (3, 0.0, 12491, _FACET),
+        (3, 0.0, 18950, _FACET),
+        (1, -math.pi, 1917, _FACET),
+    ], ids=["4463", "5450", "15954", "rng3-3925", "rng3-11195", "rng3-12491",
+            "rng3-18950", "signed-1917"])
+    def test_sweep_faults_keep_their_messages(self, seed, low, index,
+                                              message):
+        a, b, g = np.random.default_rng(seed).uniform(
+            low, math.pi, size=(20000, 3))[index].tolist()
         c = Correlation.from_sequence(np.cos((a, b, g, -(a + b + g))))
+        # the exception set: within eps_boundary of a cube facet
+        assert 1.0 - max(map(abs, c.as_tuple())) < 1e-9
         with pytest.raises(AmbiguousClassification) as info:
             classify(c)
         assert str(info.value) == message

@@ -275,6 +275,13 @@ class TestSliceGrid:
         assert SliceSpec(fixed={"c11": 1.0}, offset=0.0).free_axes() == [
             "c12", "c21", "c22"]
 
+    def test_hyperplane_beyond_float_range(self):
+        # the dependent coordinate 1/1e-320 overflows, without a warning
+        spec = SliceSpec(normal=(1e-320, 0.0, 0.0, 0.0), offset=1.0,
+                         resolution=2)
+        with pytest.raises(InvalidSlice, match="float range"):
+            slice_grid(spec)
+
     def test_csv_format(self):
         table = slice_grid(SliceSpec(fixed={"c11": 1.0, "c12": 1.0,
                                             "c21": 1.0}, resolution=3))

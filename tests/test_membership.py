@@ -4,17 +4,22 @@ import pytest
 
 from qbody import (
     Body,
+    ConsistencyError,
     Correlation,
     InputOutsideCube,
     Oracle,
     PushDirection,
     SamplerConfig,
+    Tolerance,
     chsh_values,
     mc_volume,
     member,
     member_classical,
     pushout,
+    solve_completion,
 )
+from qbody import boundary, membership
+from qbody.cli import main
 from qbody.core import _Floats
 from qbody.membership import (
     _BLOCK_ROWS,
@@ -24,7 +29,8 @@ from qbody.membership import (
     margin_batch,
 )
 
-from helpers import CHSH_POINT, SQRT2, boundary_cl_points, random_symmetry
+from helpers import (CHSH_POINT, SQRT2, boundary_cl_points,
+                     completion_points, random_symmetry)
 
 
 class TestPushout:
@@ -213,3 +219,36 @@ class TestToleranceShell:
             sign = 1.0 if base[i] >= 0 else -1.0
             base[i] = sign * (1.0 + rng.uniform(-2e-9, 2e-9))
             member(Correlation.from_sequence(base), Oracle.COMPLETION)
+
+
+class TestCompletionVerdict:
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
+    def test_inside_is_solver_feasibility(self, eps):
+        tol = Tolerance(eps_boundary=eps, eps_psd=min(eps, 1e-10))
+        points = completion_points(np.random.default_rng(14), 20000)
+        for c in points:
+            assert member(c, Oracle.COMPLETION, tol).inside \
+                == solve_completion(c, tol).feasible, c
+
+    def test_semialg_cross_check_can_raise(self, monkeypatch):
+        semialg = membership._semialg
+        monkeypatch.setattr(membership, "_semialg",
+                            lambda *args: -semialg(*args))
+        for c in (Correlation(0, 0, 0, 0), Correlation(1.2, 0, 0, 0)):
+            with pytest.raises(ConsistencyError, match="semialgebraic"):
+                member(c, Oracle.COMPLETION)
+        # inside the band the signs may differ: no check is made there
+        member(Correlation(1.0, 0.0, 0.0, 0.0), Oracle.COMPLETION)
+
+    def test_makes_no_solver_call(self, monkeypatch, capsys):
+        calls = []
+        solve = boundary.solve_completion
+        monkeypatch.setattr(boundary, "solve_completion",
+                            lambda *args: calls.append(args) or solve(*args))
+        for c in (CHSH_POINT, Correlation(0, 0, 0, 0),
+                  Correlation(1.2, 0, 0, 0)):
+            member(c, Oracle.COMPLETION)
+        assert main(["member", "--point", "[0.1,0.2,0.3,0.4]",
+                     "--oracle", "all"]) == 0
+        capsys.readouterr()
+        assert calls == []
