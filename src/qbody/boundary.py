@@ -345,8 +345,9 @@ def solve_completion(c: Correlation,
     ``feasible=False`` is a result, not an error.  The reported witness
     takes ``u`` at the midpoint of the feasible interval and ``v`` from the
     closed-form determinant maximizer (falling back to the ``v``-interval
-    midpoint when ``|u| = 1`` makes the formula singular).  ``unique`` records whether both intervals
-    degenerate to points, which happens exactly on the boundary of ``Q``.
+    midpoint when ``|u| = 1`` makes the formula singular).  ``unique``
+    records whether both intervals degenerate to points, which happens
+    exactly on the boundary of ``Q``.
     ``rank`` is the numerical rank of the witness at the relative
     eigenvalue threshold ``tol.eps_psd``.  Its inertia count runs when
     ``rank`` is first read, so callers that need only feasibility do no
@@ -358,7 +359,7 @@ def solve_completion(c: Correlation,
     lu, ru = _u_interval(c11, c12, c21, c22, _Floats)
     lv, rv = _u_interval(c11, c21, c12, c22, _Floats)
 
-    feasible = _completion(c11, c12, c21, c22, _Floats, (lu, ru)) >= -eps
+    feasible = _completion(c11, c12, c21, c22, _Floats) >= -eps
 
     u = min(1.0, max(-1.0, 0.5 * (lu + ru)))
     if 1.0 - u * u > 1e-12:
@@ -403,11 +404,10 @@ def classify(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE,
     the completion rank table and a mismatch raises
     :class:`AmbiguousClassification`.
 
-    Exception set: within ``eps_boundary`` of a cube facet, ``eps_boundary``
-    is both a coordinate distance (``|c_ij| ≥ 1 - eps`` saturates) and a
-    margin slack (the facet cubic, the rank check).  Where the two uses
-    disagree the point raises :class:`AmbiguousClassification`; eight
-    points of three seeded 20,000-point angle sweeps are pinned in tests.
+    Exception set: points within ``eps_boundary`` of a cube facet where
+    ``eps_boundary`` as a coordinate distance (``|c_ij| ≥ 1 - eps``) and as
+    a margin slack (the facet cubic, the rank check) disagree also raise
+    :class:`AmbiguousClassification`.
     """
     eps = tol.eps_boundary
     verdict = member(c, Oracle.SEMIALG, tol)

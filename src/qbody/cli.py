@@ -180,11 +180,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _verdict_dict(v: membership.MembershipVerdict) -> dict:
-    return {
-        "inside": bool(v.inside),
-        "margin": v.margin,
-        "oracle": v.oracle.value if v.oracle is not None else None,
-    }
+    # the oracle by its name, as --oracle spells it
+    return {**dataclasses.asdict(v),
+            "oracle": None if v.oracle is None else v.oracle.value}
 
 
 def _write_csv(path: str, columns, rows) -> None:
@@ -230,9 +228,13 @@ def _run(args: argparse.Namespace) -> dict:
 
     if cmd == "complete":
         result = boundary.solve_completion(args.point, tol)
-        return {"feasible": result.feasible, "u": result.witness.u,
-                "v": result.witness.v, "unique": result.unique,
-                "rank": result.rank}
+        return {
+            "feasible": result.feasible,
+            "u": result.witness.u,
+            "v": result.witness.v,
+            "unique": result.unique,
+            "rank": result.rank,
+        }
 
     if cmd == "angles":
         if args.point is not None:

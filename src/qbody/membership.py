@@ -127,14 +127,13 @@ def _pushout(a, b, c, d, xp):
     return xp.minimum(_cube_slack(a, b, c, d, xp), _classical(*inv, xp))
 
 
-def _completion(a, b, c, d, xp, u_interval=None):
+def _completion(a, b, c, d, xp):
     # Positive-semidefinite completability reduces to the intersection of
     # the nonnegativity intervals of two downward parabolas in the free
     # entry u, plus the four 2x2 diagonal minors (the cube, quadratically).
-    # A caller that holds _u_interval(a, b, c, d, xp) passes it.
     quad = xp.minimum(xp.minimum(1.0 - a * a, 1.0 - b * b),
                       xp.minimum(1.0 - c * c, 1.0 - d * d))
-    lo, hi = u_interval or _u_interval(a, b, c, d, xp)
+    lo, hi = _u_interval(a, b, c, d, xp)
     return xp.minimum(quad, hi - lo)
 
 
