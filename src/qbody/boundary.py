@@ -67,7 +67,7 @@ from .core import (
     _check_finite,
     _g,
 )
-from .membership import Oracle, _completion, _u_interval, member
+from .membership import Oracle, _completion_slack, _u_interval, member
 
 __all__ = [
     "AngleTuple",
@@ -340,14 +340,13 @@ def solve_completion(c: Correlation,
                      tol: Tolerance = DEFAULT_TOLERANCE) -> CompletionResult:
     """Solve the unit-diagonal completion problem for ``c``.
 
-    Feasibility follows the two-parabola criterion, the ``COMPLETION``
-    margin of :func:`qbody.membership.member` at ``-tol.eps_boundary``;
-    ``feasible=False`` is a result, not an error.  The reported witness
-    takes ``u`` at the midpoint of the feasible interval and ``v`` from the
-    closed-form determinant maximizer (falling back to the ``v``-interval
-    midpoint when ``|u| = 1`` makes the formula singular).  ``unique``
-    records whether both intervals degenerate to points, which happens
-    exactly on the boundary of ``Q``.
+    Feasible means the two-parabola slack, the ``COMPLETION`` margin, is at
+    least ``-tol.eps_boundary``; ``feasible=False`` is a result, not an
+    error.  The reported witness takes ``u`` at the midpoint of the
+    feasible interval and ``v`` from the closed-form determinant maximizer
+    (falling back to the ``v``-interval midpoint when ``|u| = 1`` makes the
+    formula singular).  ``unique`` records whether both intervals
+    degenerate to points, which happens exactly on the boundary of ``Q``.
     ``rank`` is the numerical rank of the witness at the relative
     eigenvalue threshold ``tol.eps_psd``.  Its inertia count runs when
     ``rank`` is first read, so callers that need only feasibility do no
@@ -359,7 +358,7 @@ def solve_completion(c: Correlation,
     lu, ru = _u_interval(c11, c12, c21, c22, _Floats)
     lv, rv = _u_interval(c11, c21, c12, c22, _Floats)
 
-    feasible = _completion(c11, c12, c21, c22, _Floats) >= -eps
+    feasible = _completion_slack(c11, c12, c21, c22, lu, ru, _Floats) >= -eps
 
     u = min(1.0, max(-1.0, 0.5 * (lu + ru)))
     if 1.0 - u * u > 1e-12:

@@ -185,11 +185,6 @@ def _verdict_dict(v: membership.MembershipVerdict) -> dict:
             "oracle": None if v.oracle is None else v.oracle.value}
 
 
-def _write_csv(path: str, columns, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        measures.write_csv(fh, columns, rows)
-
-
 def _run(args: argparse.Namespace) -> dict:
     cmd = args.command
     tol = Tolerance(**_eps_given(args))
@@ -283,7 +278,9 @@ def _run(args: argparse.Namespace) -> dict:
         cfg = measures.SamplerConfig(seed=seed, samples=args.samples)
         points = measures.sample(_TARGETS[args.target], cfg)
         if args.out:
-            _write_csv(args.out, measures.AXES, [c.as_tuple() for c in points])
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                measures.write_csv(fh, measures.AXES,
+                                   [c.as_tuple() for c in points])
             return {"written": args.out, "count": len(points)}
         return {"points": [list(c.as_tuple()) for c in points]}
 
@@ -298,7 +295,8 @@ def _run(args: argparse.Namespace) -> dict:
                                   else args.offset, resolution=args.grid)
         table = measures.slice_grid(spec, tol)
         if args.out:
-            _write_csv(args.out, table.columns, table.rows)
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                table.write_csv(fh)
             return {"written": args.out, "rows": len(table.rows)}
         return {"columns": list(table.columns),
                 "rows": [list(row) for row in table.rows]}

@@ -317,8 +317,7 @@ def slice_grid(spec: SliceSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> SliceTabl
                 acc = acc - float(spec.normal[i]) * nodes[:, i]
             nodes[:, dependent] = acc / float(spec.normal[dependent])
         if not np.isfinite(nodes).all():
-            raise InvalidSlice("the solved coordinate is not finite on "
-                               "the grid")
+            raise InvalidSlice("a solved hyperplane coordinate is not finite")
     classical = classical_margin_batch(nodes) >= 0.0
 
     rows = []

@@ -127,14 +127,18 @@ def _pushout(a, b, c, d, xp):
     return xp.minimum(_cube_slack(a, b, c, d, xp), _classical(*inv, xp))
 
 
-def _completion(a, b, c, d, xp):
+def _completion_slack(a, b, c, d, lo, hi, xp):
     # Positive-semidefinite completability reduces to the intersection of
     # the nonnegativity intervals of two downward parabolas in the free
-    # entry u, plus the four 2x2 diagonal minors (the cube, quadratically).
+    # entry u, ``(lo, hi)`` from _u_interval, plus the four 2x2 diagonal
+    # minors (the cube, quadratically).
     quad = xp.minimum(xp.minimum(1.0 - a * a, 1.0 - b * b),
                       xp.minimum(1.0 - c * c, 1.0 - d * d))
-    lo, hi = _u_interval(a, b, c, d, xp)
     return xp.minimum(quad, hi - lo)
+
+
+def _completion(a, b, c, d, xp):
+    return _completion_slack(a, b, c, d, *_u_interval(a, b, c, d, xp), xp)
 
 
 def _timo(a, b, c, d, xp):

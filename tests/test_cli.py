@@ -407,9 +407,9 @@ class TestExitCodes:
             main(["slice", "--normal", "[1e-320,0,0,0]", "--offset", "1",
                   "--grid", "2"])
         assert info.value.code == 2
-        assert capsys.readouterr().err == ("qbody: error: the solved "
-                                           "coordinate is not finite on the "
-                                           "grid\n")
+        assert capsys.readouterr().err == ("qbody: error: a solved "
+                                           "hyperplane coordinate is not "
+                                           "finite\n")
 
     @pytest.mark.parametrize("argv", [
         ["member", "--point", "[NaN,0,0,0]"],
