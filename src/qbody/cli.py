@@ -185,7 +185,7 @@ def _verdict_dict(v: membership.MembershipVerdict) -> dict:
             "oracle": None if v.oracle is None else v.oracle.value}
 
 
-def _run(args: argparse.Namespace) -> dict:
+def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
     cmd = args.command
     tol = Tolerance(**_eps_given(args))
 

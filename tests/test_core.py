@@ -54,8 +54,9 @@ class TestPrimalPolys:
             assert _h(*row) == pytest.approx(
                 _h_squared(*row), rel=1e-9, abs=1e-9)
 
-    # the parent of this check reported the first as a disagreement of the
-    # two h forms and returned h = -inf for the second
+    # g, h and the squared form overflow together in the first; in the
+    # second only h does, and both forms of h read -inf, which the two-form
+    # comparison would let through
     @pytest.mark.parametrize("entries", [(1e308, -1.0, -1.0, -1.0),
                                          (1e60, 1e60, 1e60, 0.5)])
     def test_overflow_is_named(self, entries):
