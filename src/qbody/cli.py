@@ -6,7 +6,9 @@ radians.  Output is JSON on stdout (CSV for the tabular subcommands when
 ``--out`` is given).  Exit status: 0 success, 1 domain error (with a
 machine-readable ``{"error": {...}}`` payload, also for a result that holds
 an infinite or NaN number, which strict JSON cannot write) or stdout
-closed before the output was written, 2 usage error.
+closed before the output was written, 2 usage error: among them a vector
+entry that is non-finite or beyond the float range, a non-finite ``--fix``,
+``--offset`` or tolerance value, and a malformed model file.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -27,40 +30,40 @@ _BODIES = {b.value: b for b in measures.Body}
 _TARGETS = {t.value: t for t in measures.SampleTarget}
 
 
-def _vector(text: str, what: str, convert=list):
+def _vector(text: str, what: str, convert):
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise argparse.ArgumentTypeError(f"{what} is not valid JSON: {exc}")
-    if not isinstance(data, list) or len(data) != 4 \
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in data):
-        raise argparse.ArgumentTypeError(
-            f"{what} must be a JSON array of 4 numbers")
-    try:
-        return convert([float(v) for v in data])
-    except ValueError as exc:  # a non-finite entry
+        values = core._json_floats(json.loads(text), 4, what)
+        core._check_finite(what, values)
+    except ValueError as exc:  # json.JSONDecodeError is one
         raise argparse.ArgumentTypeError(str(exc))
+    return convert(values)
 
 
 _point_arg, _functional_arg, _angles_arg, _normal_arg = (
     functools.partial(_vector, what=flag, convert=convert)
     for flag, convert in (("--point", Correlation.from_sequence),
                           ("--functional", Functional.from_sequence),
-                          ("--angles", list), ("--normal", list)))
+                          ("--angles", tuple), ("--normal", tuple)))
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _fix_arg(text: str) -> tuple[str, float]:
-    if "=" not in text:
+    name, sep, value = text.partition("=")
+    if not sep:
         raise argparse.ArgumentTypeError("--fix expects cij=VALUE")
-    name, _, value = text.partition("=")
     if name not in measures.AXES:
         raise argparse.ArgumentTypeError(
             f"--fix coordinate must be one of {measures.AXES}")
-    try:
-        return name, float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--fix value {value!r} not a number")
+    return name, _finite(value)
 
 
 def _add_eps_flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -73,16 +76,6 @@ def _add_eps_flags(parser: argparse.ArgumentParser, *names: str) -> None:
 def _eps_given(args: argparse.Namespace) -> dict[str, float]:
     return {name: value for name, value in vars(args).items()
             if name.startswith("eps_") and value is not None}
-
-
-def _default_seed() -> int:
-    env = os.environ.get("QBODY_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"QBODY_SEED must be an integer, got {env!r}") from None
 
 
 _POINT_HELP = "JSON array [c11,c12,c21,c22]"
@@ -142,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--angles", type=_angles_arg, help=_ANGLES_HELP)
     group.add_argument("--model", help="path to a model JSON file")
-    _add_eps_flags(p, "boundary", "angle", "psd")
+    _add_eps_flags(p, "angle")
 
     p = sub.add_parser("volume", help="Monte-Carlo volume fraction")
     p.add_argument("--body", choices=sorted(_BODIES), default="q")
@@ -160,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="fix a coordinate, e.g. c11=-0.8 (repeatable)")
     p.add_argument("--normal", type=_normal_arg, default=None,
                    help="hyperplane normal as a JSON 4-array")
-    p.add_argument("--offset", type=float, default=None,
+    p.add_argument("--offset", type=_finite, default=None,
                    help="hyperplane offset (normal . c = offset), default 0")
     p.add_argument("--grid", type=int, default=50,
                    help="grid resolution per free axis")
@@ -188,6 +181,8 @@ def _verdict_dict(v: membership.MembershipVerdict) -> dict:
 def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
     cmd = args.command
     tol = Tolerance(**_eps_given(args))
+    angles = getattr(args, "angles", None)
+    t = angles and boundary.AngleTuple(*angles, eps=tol.eps_angle)
 
     if cmd == "member":
         names = sorted(_ORACLES) if args.oracle == "all" else [args.oracle]
@@ -232,23 +227,19 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         }
 
     if cmd == "angles":
-        if args.point is not None:
+        if t is None:
             t = boundary.angles_from_point(args.point, tol)
             return {"angles": list(t.as_tuple())}
-        t = boundary.AngleTuple(*args.angles, eps=tol.eps_angle)
         ext = boundary.extreme_from_angles(t, tol)
         return {"point": list(ext.c.as_tuple()), "stratum": ext.stratum.value}
 
     if cmd == "expose":
-        if args.angles is not None:
-            t = boundary.AngleTuple(*args.angles, eps=tol.eps_angle)
-        else:
+        if t is None:
             t = boundary.angles_from_point(args.point, tol)
         f = boundary.exposing_functional(t, tol)
         return {"functional": list(f.as_tuple())}
 
     if cmd == "model":
-        t = boundary.AngleTuple(*args.angles, eps=tol.eps_angle)
         model = quantum.build_model(t)
         payload = model.to_json_dict()
         payload["correlations"] = list(quantum.correlations_of(model).as_tuple())
@@ -256,26 +247,27 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
 
     if cmd == "selftest":
         # rejected here, not by argparse, so the message can name --angles
-        if args.eps_boundary is not None or args.eps_psd is not None \
-                or (args.model is not None and args.eps_angle is not None):
+        if args.model is not None and args.eps_angle is not None:
             raise ValueError("selftest takes --eps-angle only, with --angles; "
                              "--model takes no tolerance")
-        if args.angles is not None:
-            model = quantum.build_model(boundary.AngleTuple(
-                *args.angles, eps=tol.eps_angle))
+        if t is not None:
+            model = quantum.build_model(t)
         else:
             with open(args.model, encoding="utf-8") as fh:
                 model = quantum.QuantumModel.from_json_dict(json.load(fh))
         return dataclasses.asdict(quantum.selftest_residuals(model))
 
-    if cmd == "volume":
-        seed = args.seed if args.seed is not None else _default_seed()
+    if cmd in ("volume", "sample"):
+        env = os.environ.get("QBODY_SEED", "0")
+        try:
+            seed = int(env) if args.seed is None else args.seed
+        except ValueError:
+            raise ValueError(f"QBODY_SEED must be an integer, got {env!r}") \
+                from None
         cfg = measures.SamplerConfig(seed=seed, samples=args.samples)
-        return dataclasses.asdict(measures.mc_volume(_BODIES[args.body], cfg))
-
-    if cmd == "sample":
-        seed = args.seed if args.seed is not None else _default_seed()
-        cfg = measures.SamplerConfig(seed=seed, samples=args.samples)
+        if cmd == "volume":
+            return dataclasses.asdict(
+                measures.mc_volume(_BODIES[args.body], cfg))
         points = measures.sample(_TARGETS[args.target], cfg)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

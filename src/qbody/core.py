@@ -160,6 +160,20 @@ def _check_finite(name: str, values: Iterable[float]) -> None:
             raise ValueError(f"{name} entries must be finite, got {v!r}")
 
 
+def _json_floats(value, n: int, what: str) -> tuple[float, ...]:
+    """A decoded JSON array of ``n`` numbers as floats, or ``ValueError``:
+    booleans and integers beyond the float range are refused, NaN passes."""
+    if not isinstance(value, list) or len(value) != n or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            for x in value):
+        raise ValueError(f"{what} must be a JSON array of {n} numbers")
+    try:
+        return tuple(map(float, value))
+    except OverflowError:
+        raise ValueError(f"{what} has an entry beyond the float range") \
+            from None
+
+
 class _Vector4:
     """Shared behaviour of the 4-coordinate value types below."""
 
@@ -230,8 +244,9 @@ class Tolerance:
     eps_psd: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not (self.eps_boundary > 0 and self.eps_angle > 0 and self.eps_psd > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.eps_boundary < math.inf and 0 < self.eps_angle < math.inf
+                and 0 < self.eps_psd < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.eps_psd > self.eps_boundary:
             raise ValueError("eps_psd must not exceed eps_boundary")
 
@@ -368,8 +383,8 @@ _REL_TOL = 1e-9  # the bound of the polynomial cross-checks below
 
 
 def _assert_close(a: float, b: float, rel: float, what: str) -> None:
-    # a NaN on either side compares false with the bound, so it is caught first
-    if math.isnan(a) or math.isnan(b) \
+    # NaN, and inf - inf, compare false with the bound, so are caught first
+    if not (math.isfinite(a) and math.isfinite(b)) \
             or abs(a - b) > rel * max(1.0, abs(a), abs(b)):
         raise ConsistencyError(f"{what}: {a!r} vs {b!r}")
 

@@ -262,13 +262,14 @@ def _by_blocks(kernel, pts: np.ndarray, *args) -> np.ndarray:
     """``kernel(*pts.T, *args)`` evaluated ``_BLOCK_ROWS`` rows at a time.
 
     The kernels are elementwise, so the result is bit-identical to one
-    call on the whole array.
+    call on the whole array.  Overflow is silent, as on the scalar path.
     """
     import numpy as np
     out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], _BLOCK_ROWS):
-        out[start:start + _BLOCK_ROWS] = \
-            kernel(*pts[start:start + _BLOCK_ROWS].T, *args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, pts.shape[0], _BLOCK_ROWS):
+            out[start:start + _BLOCK_ROWS] = \
+                kernel(*pts[start:start + _BLOCK_ROWS].T, *args)
     return out
 
 
@@ -279,6 +280,7 @@ def classical_margin_batch(points: np.ndarray) -> np.ndarray:
 
 
 def margin_batch(points: np.ndarray, oracle: Oracle) -> np.ndarray:
-    """Vectorized signed margins; the same kernels as :func:`member`."""
+    """Vectorized signed margins; the same kernels as :func:`member`, but a
+    row with an entry beyond about 1e154 can get NaN where it is negative."""
     import numpy as np
     return _by_blocks(_margin_kernel(oracle), _as_points(points), np)

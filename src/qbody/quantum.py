@@ -62,6 +62,7 @@ from .core import (
     Correlation,
     DimensionTooLarge,
     InvalidModel,
+    _json_floats,
 )
 from .boundary import AngleTuple, GramSystem, _count_above
 
@@ -98,18 +99,6 @@ _SINGLET_ROW = tuple(x / math.sqrt(2.0) for x in (0.0, 1.0, -1.0, 0.0))
 def _reflection_rows(tau: float) -> tuple[tuple[float, float], ...]:
     ct, st = math.cos(tau), math.sin(tau)
     return ((ct, st), (st, -ct))
-
-
-def _json_row(value, d: int, name: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or len(value) != d or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            for x in value):
-        raise ValueError(f"model {name} must hold rows of {d} numbers")
-    try:
-        return tuple(map(float, value))
-    except OverflowError:
-        raise ValueError(f"model {name} has an entry beyond float range") \
-            from None
 
 
 def _as_lists(x) -> list:
@@ -151,8 +140,8 @@ class QuantumModel:
         """The model of a :meth:`to_json_dict` document, in row tuples.
 
         Raises ``ValueError`` on a document that is not a model: not an
-        object, a missing key, a ``d`` that is not a positive integer, or an
-        entry that is not a number (booleans included) or out of shape.
+        object, a missing key, a ``d`` that is not a positive integer, or a
+        row that ``core._json_floats`` refuses; non-finite entries pass.
         """
         if not isinstance(data, dict):
             raise ValueError("a model must be a JSON object")
@@ -167,8 +156,9 @@ class QuantumModel:
             rows = data[name]
             if not isinstance(rows, list) or len(rows) != d:
                 raise ValueError(f"model {name} must hold {d} rows")
-            mats[name] = tuple(_json_row(row, d, name) for row in rows)
-        return cls(psi=_json_row(data["psi"], d, "psi"), d=d, **mats)
+            mats[name] = tuple(_json_floats(row, d, f"model {name} row")
+                               for row in rows)
+        return cls(psi=_json_floats(data["psi"], d, "model psi"), d=d, **mats)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
 import textwrap
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qbody
 from qbody import (AngleTuple, Body, SamplerConfig, build_model, mc_volume,
@@ -46,6 +49,7 @@ def run_cli(capsys, *argv):
 
 CHSH_JSON = "[0.7071067811865475,0.7071067811865475," \
     "0.7071067811865475,-0.7071067811865475]"
+BIG = str(10 ** 400)  # an integer beyond the float range
 
 
 class TestSubcommands:
@@ -425,6 +429,50 @@ class TestExitCodes:
         assert info.value.code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--point", ["member", "--point", f"[{BIG},0,0,0]"]),
+        ("--functional", ["support", "--functional", f"[0,-{BIG},0,0]"]),
+        ("--point", ["ncycle", "--point", f"[0,0,{BIG},0]",
+                     "--functional", "[1,0,0,0]"]),
+        ("--functional", ["ncycle", "--point", "[0,0,0,0]",
+                          "--functional", f"[1,0,0,{BIG}]"]),
+        ("--angles", ["angles", "--angles", f"[{BIG},0,0,0]"]),
+        ("--normal", ["slice", "--normal", f"[{BIG},0,0,1]", "--grid", "2"]),
+        ("--normal", ["slice", "--normal", "[1,0,0,Infinity]", "--grid",
+                      "2"]),
+        ("--normal", ["slice", "--normal", "[NaN,0,0,1]", "--grid", "2"]),
+        ("--fix", ["slice", "--fix", "c11=nan", "--grid", "2"]),
+        ("--fix", ["slice", "--fix", "c12=-inf", "--grid", "2"]),
+        ("--offset", ["slice", "--normal", "[1,0,0,0]", "--offset", "nan",
+                      "--grid", "2"]),
+        ("--offset", ["slice", "--normal", "[1,0,0,0]", "--offset", "1e400",
+                      "--grid", "2"]),
+    ], ids=["member point", "support", "ncycle point", "ncycle functional",
+            "angles", "slice normal big", "slice normal inf",
+            "slice normal nan", "fix nan", "fix inf", "offset nan",
+            "offset inf"])
+    def test_malformed_number_names_its_flag(self, capsys, flag, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}:" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["angles", "--angles", "[0.3,0.4,0.5,2.0]", "--eps-angle",
+         "Infinity"],
+        ["member", "--point", "[2,2,2,2]", "--oracle", "completion",
+         "--eps-boundary", "Infinity"],
+    ], ids=["eps-angle", "eps-boundary"])
+    def test_non_finite_tolerance_is_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr() == (
+            "", "qbody: error: tolerances must be positive and finite\n")
+
     @pytest.mark.parametrize("entries, detail", [
         pytest.param([("B1", 7, 7, 1.5)],
                      "B1 spectrum [1.0, 1.5] leaves [-1, 1]", id="spectrum"),
@@ -502,7 +550,10 @@ class TestExitCodes:
             with pytest.raises(SystemExit) as info:
                 main(["selftest", "--model", str(path), flag, "1e-9"])
             assert info.value.code == 2
-            assert "--angles" in capsys.readouterr().err
+            # selftest registers --eps-angle only, so the other two are
+            # unknown flags and only --eps-angle gets the --angles message
+            err = capsys.readouterr().err
+            assert flag != "--eps-angle" or "--angles" in err
         code, _ = run_cli(capsys, "selftest", "--model", str(path))
         assert code == 0
 
@@ -526,6 +577,52 @@ class TestExitCodes:
         code = main(["angles", "--point", "[-1,0,0,0]"])
         data = json.loads(capsys.readouterr().out)
         assert code == 1 and data["error"]["kind"] == "NotExtreme"
+
+
+# JSON entries of every kind a user can type: numbers small and beyond the
+# float range, NaN and infinities, booleans, strings, null, nested arrays
+_JSON_ENTRY = st.one_of(
+    st.floats(), st.floats(-2.0, 2.0), st.integers(-3, 3),
+    st.integers(-10 ** 400, 10 ** 400), st.booleans(), st.text(max_size=3),
+    st.none(), st.lists(st.floats(-2.0, 2.0), max_size=2))
+
+
+def _four_finite_numbers(entries: list) -> bool:
+    if len(entries) != 4 or any(type(v) not in (int, float) for v in entries):
+        return False
+    try:
+        return all(math.isfinite(float(v)) for v in entries)
+    except OverflowError:
+        return False
+
+
+class TestVectorFlags:
+    # capsys is read, and so emptied, once per example
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from([["member", "--point"], ["support", "--functional"],
+                            ["angles", "--angles"], ["slice", "--normal"]]),
+           st.lists(_JSON_ENTRY, max_size=6))
+    def test_exit_two_or_strict_json(self, capsys, command, entries):
+        text = json.dumps(entries)
+        argv = [*command, text] + (["--grid", "2"] if "slice" in command
+                                   else [])
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == ""
+            assert re.search(r"^qbody( \w+)?: error: ", captured.err, re.M)
+        else:
+            assert code in (0, 1)
+            assert captured.out.count("\n") == 1
+            json.loads(captured.out, parse_constant=lambda token: pytest.fail(
+                f"non-JSON token {token} in {captured.out}"))
+        if not _four_finite_numbers(entries):
+            assert code == 2
 
 
 class TestStartWithoutNumpy:

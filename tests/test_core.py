@@ -90,8 +90,17 @@ class TestDualPolys:
         with pytest.raises(ConsistencyError):
             dual_polys(f)
 
+    def test_infinite_polys_are_consistency_error(self):
+        # k and h_dual overflow to -inf on both routes; equal infinities
+        # are not agreement
+        with pytest.raises(ConsistencyError):
+            dual_polys(Functional(1e60, 1e60, 1e60, 0.5))
+
     @pytest.mark.parametrize("a, b", [(math.nan, 0.0), (0.0, math.nan),
-                                      (math.nan, math.nan)])
+                                      (math.nan, math.nan),
+                                      (-math.inf, -math.inf),
+                                      (math.inf, math.inf), (math.inf, 1.0),
+                                      (1.0, -math.inf)])
     def test_assert_close_rejects_nan_on_either_side(self, a, b):
         with pytest.raises(ConsistencyError):
             _assert_close(a, b, 1e-9, "nan")
@@ -274,6 +283,9 @@ class TestTolerance:
             Tolerance(eps_boundary=0.0)
         with pytest.raises(ValueError):
             Tolerance(eps_psd=1e-3, eps_boundary=1e-9)
+        for name in ("eps_boundary", "eps_angle", "eps_psd"):
+            with pytest.raises(ValueError, match="positive and finite"):
+                Tolerance(**{name: math.inf})
 
     def test_correlation_requires_finite(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 
 import numpy as np
 import pytest
@@ -151,6 +152,21 @@ class TestOracleConsistency:
         for _ in range(500):
             c = Correlation.from_sequence(rng.uniform(-1, 1, size=4))
             assert member_classical(c).inside == (max(chsh_values(c)) <= 1.0)
+
+
+class TestHugeRows:
+    # 9⁴ = 6,561 rows, most with entries whose products overflow
+    VALUES = (0.0, 0.5, -1.0, 2.0, 1e155, -1e155, 1e200, 1e300, -1e300)
+
+    def test_batch_sign_matches_scalar(self):
+        pts = np.array(list(itertools.product(self.VALUES, repeat=4)))
+        rows = [Correlation.from_sequence(p) for p in pts]
+        # a NaN margin counts as negative, as margin >= 0 reads it
+        for oracle in Oracle:
+            scalar = [member(c, oracle).margin >= 0.0 for c in rows]
+            assert ((margin_batch(pts, oracle) >= 0.0) == scalar).all()
+        scalar = [member_classical(c).margin >= 0.0 for c in rows]
+        assert ((classical_margin_batch(pts) >= 0.0) == scalar).all()
 
 
 class TestBlocks:
