@@ -67,15 +67,38 @@ def _fix_arg(text: str) -> tuple[str, float]:
 
 
 def _add_eps_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    # flags for the Tolerance fields the subcommand reads, eps_psd with
-    # eps_boundary, which bounds it; a flag left out stays None
+    # flags for the Tolerance fields the subcommand reads; a flag left out
+    # stays None
     for name in names:
         parser.add_argument(f"--eps-{name}", type=float)
 
 
-def _eps_given(args: argparse.Namespace) -> dict[str, float]:
-    return {name: value for name, value in vars(args).items()
-            if name.startswith("eps_") and value is not None}
+# (subcommand, tolerance field) -> the one input flag whose path reads it
+_READ_ONLY_WITH = {("angles", "eps_boundary"): "point",
+                   ("expose", "eps_boundary"): "point",
+                   ("selftest", "eps_angle"): "angles"}
+
+
+def _tolerance(args: argparse.Namespace) -> Tolerance:
+    """The Tolerance of the flags given.  A field the subcommand does not
+    register cannot change its output, so it takes the value nearest its
+    default that ``eps_psd <= eps_boundary`` allows."""
+    given = {name: value for name, value in vars(args).items()
+             if name.startswith("eps_") and value is not None}
+    for name in given:
+        source = _READ_ONLY_WITH.get((args.command, name))
+        if source and getattr(args, source) is None:
+            # rejected here, not by argparse, so the message can name it
+            raise ValueError(f"{args.command} reads "
+                             f"--{name.replace('_', '-')} only with --{source}")
+    default = core.DEFAULT_TOLERANCE
+    if not hasattr(args, "eps_psd"):
+        given["eps_psd"] = min(default.eps_psd,
+                               given.get("eps_boundary", default.eps_boundary))
+    if not hasattr(args, "eps_boundary"):
+        given["eps_boundary"] = max(default.eps_boundary,
+                                    given.get("eps_psd", default.eps_psd))
+    return Tolerance(**given)
 
 
 _POINT_HELP = "JSON array [c11,c12,c21,c22]"
@@ -92,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="membership of a point in Q")
     p.add_argument("--point", type=_point_arg, required=True, help=_POINT_HELP)
     p.add_argument("--oracle", choices=["all"] + sorted(_ORACLES), default="all")
-    _add_eps_flags(p, "boundary", "psd")
+    _add_eps_flags(p, "boundary")
 
     p = sub.add_parser("classify", help="boundary stratum of a point")
     p.add_argument("--point", type=_point_arg, required=True, help=_POINT_HELP)
@@ -108,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", help="polar-body membership of a functional")
     p.add_argument("--functional", type=_functional_arg, required=True,
                    help=_FUNCTIONAL_HELP)
-    _add_eps_flags(p, "boundary", "psd")
+    _add_eps_flags(p, "psd")
 
     p = sub.add_parser("complete", help="matrix completion of a point")
     p.add_argument("--point", type=_point_arg, required=True, help=_POINT_HELP)
@@ -118,13 +141,13 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--point", type=_point_arg, help=_POINT_HELP)
     group.add_argument("--angles", type=_angles_arg, help=_ANGLES_HELP)
-    _add_eps_flags(p, "boundary", "angle", "psd")
+    _add_eps_flags(p, "boundary", "angle")
 
     p = sub.add_parser("expose", help="exposing functional of an extreme point")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--angles", type=_angles_arg, help=_ANGLES_HELP)
     group.add_argument("--point", type=_point_arg, help=_POINT_HELP)
-    _add_eps_flags(p, "boundary", "angle", "psd")
+    _add_eps_flags(p, "boundary", "angle")
 
     p = sub.add_parser("model", help="explicit quantum model for angles")
     p.add_argument("--angles", type=_angles_arg, required=True,
@@ -158,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=50,
                    help="grid resolution per free axis")
     p.add_argument("--out", help="write CSV to this path instead of JSON")
-    _add_eps_flags(p, "boundary", "psd")
+    _add_eps_flags(p, "boundary")
 
     p = sub.add_parser("orbit", help="symmetry orbit of a point")
     p.add_argument("--point", type=_point_arg, required=True, help=_POINT_HELP)
@@ -180,7 +203,7 @@ def _verdict_dict(v: membership.MembershipVerdict) -> dict:
 
 def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
     cmd = args.command
-    tol = Tolerance(**_eps_given(args))
+    tol = _tolerance(args)
     angles = getattr(args, "angles", None)
     t = angles and boundary.AngleTuple(*angles, eps=tol.eps_angle)
 
@@ -246,10 +269,6 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         return payload
 
     if cmd == "selftest":
-        # rejected here, not by argparse, so the message can name --angles
-        if args.model is not None and args.eps_angle is not None:
-            raise ValueError("selftest takes --eps-angle only, with --angles; "
-                             "--model takes no tolerance")
         if t is not None:
             model = quantum.build_model(t)
         else:

@@ -44,6 +44,31 @@ computed with Python floats, and numpy is imported inside the functions
 that build or read arrays.  The symmetry group array is built on the first
 :func:`symmetry_group` call; :func:`orbit` applies the group's signed
 permutations to Python floats.
+
+A :class:`Tolerance` (the CLI's ``--eps-*`` flags) holds the bands a user
+tunes.  The bands below are fixed.  An *arithmetic* band bounds the
+round-off of a computation, so an error analysis can prove or tighten
+it; a *choice* decides what is accepted or reported, and moving it
+changes answers.
+
+    band                          value  kind        what it bounds
+    core._REL_TOL                 1e-9   arithmetic  h forms; dual polys at 2Hf
+    quantum_case criteria band    1e-9   arithmetic  three case criteria agree
+    dual_member                   1e-8   arithmetic  support vs primal route
+    duality._BALANCE_TOL          1e-10  arithmetic  certificate diagonal sum 2
+    phi_map, image in the cube    1e-9   arithmetic  dual image entries
+    phi_map, branch closure       1e-8   arithmetic  arccos branch sum
+    boundary._UNIQUE_WIDTH        1e-8   choice      width reported unique
+    solve_completion, 1 - u²      1e-12  arithmetic  singular maximizer guard
+    exposing_functional           1e-10  arithmetic  incidence f·c = 1
+    gram_vectors                  1e-9   arithmetic  Gram factor residual
+    quantum._PSI_NORM_TOL         1e-12  choice      model contract: |psi| = 1
+    quantum._SYMMETRY_TOL         1e-12  choice      model contract: X = Xᵀ
+    quantum._COMMUTATOR_TOL       1e-10  choice      model contract: [A, B] = 0
+    quantum._SPECTRUM_TOL         1e-10  choice      model contract: |X| ≤ 1
+    self-test basis cut           1e-10  arithmetic  rank of the cyclic basis
+    measures._ANGLE_COLLAR        1e-2   choice      q4 samples off angle faces
+    measures._FACET_COLLAR        1e-6   choice      q5 samples off Q3 and Q2
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import qbody
 from qbody import (AngleTuple, Body, SamplerConfig, build_model, mc_volume,
                    selftest_residuals)
-from qbody.cli import main
+from qbody.cli import _build_parser, main
 
 from helpers import SQRT2
 
@@ -208,6 +208,119 @@ class TestAngleTolerance:
                              "[0.3,0.4,0.5,-1.19999]", "--eps-angle", "1e-6")
         assert code == 1
         assert data["error"]["kind"] == "AngleSumViolation"
+
+
+def outcome(capsys, argv):
+    """Exit status and stdout of one invocation, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+# the --eps-* flags each subcommand registers: the Tolerance fields its
+# code reads; every subcommand not listed registers none
+EPS_FLAGS = {
+    "member": {"boundary"}, "slice": {"boundary"},
+    "classify": {"boundary", "psd"}, "complete": {"boundary", "psd"},
+    "dual": {"psd"},
+    "angles": {"boundary", "angle"}, "expose": {"boundary", "angle"},
+    "model": {"angle"}, "selftest": {"angle"}, "orbit": {"angle"},
+}
+INPUT_FLAGS = ("--point", "--functional", "--angles", "--model", "--fix",
+               "--normal")
+# (subcommand, input flag, eps flag) registered but read only with the
+# other input, so rejected with exit 2
+UNREAD = {("angles", "--angles", "boundary"),
+          ("expose", "--angles", "boundary"),
+          ("selftest", "--model", "angle")}
+
+# points near the CHSH point just outside and just inside Q, a point just
+# outside the cube, one 1.2e-8 off the angle-sum constraint, angles whose
+# sum misses 0 by 1e-7, and a functional on the boundary of the polar body
+OUTSIDE = "[0.7071068,0.7071068,0.7071068,-0.7071068]"
+INSIDE = "[0.70710678,0.70710678,0.70710678,-0.70710678]"
+OFF_CUBE = "[1.000001,0,0,1]"
+OFF_SUM = "[0.7071067811865476,0.7071067811865476,0.7071067811865476," \
+    "-0.70710679]"
+LOOSE = TestAngleTolerance.LOOSE
+HALF_CHSH_FUNCTIONAL = "[0.3535533905932738,0.3535533905932738," \
+    "0.3535533905932738,-0.3535533905932738]"
+
+# (argv, eps flag, value): adding the flag alone moves stdout or the exit
+# status
+EPS_WITNESSES = [
+    (["member", "--point", OUTSIDE, "--oracle", "completion"],
+     "boundary", "1e-6"),
+    (["classify", "--point", INSIDE], "boundary", "1e-7"),
+    (["classify", "--point", INSIDE, "--eps-boundary", "1e-7"], "psd", "1e-7"),
+    (["complete", "--point", OUTSIDE], "boundary", "1e-6"),
+    (["complete", "--point", INSIDE, "--eps-boundary", "1e-7"], "psd", "1e-7"),
+    (["dual", "--functional", HALF_CHSH_FUNCTIONAL], "psd", "1e-20"),
+    (["angles", "--point", OFF_CUBE], "boundary", "1e-5"),
+    (["angles", "--point", OFF_SUM], "angle", "1e-6"),
+    (["angles", "--angles", LOOSE], "angle", "1e-6"),
+    (["expose", "--point", OFF_CUBE], "boundary", "1e-5"),
+    (["expose", "--point", OFF_SUM], "angle", "1e-6"),
+    (["expose", "--angles", LOOSE], "angle", "1e-6"),
+    (["model", "--angles", LOOSE], "angle", "1e-6"),
+    (["selftest", "--angles", LOOSE], "angle", "1e-6"),
+    (["orbit", "--point", "[1,1,1,0.9999999]"], "angle", "1e-6"),
+    (["slice", "--fix", "c11=0.9999999", "--grid", "2"], "boundary", "1e-6"),
+    (["slice", "--normal", "[1,0,0,0]", "--offset", "0.9999999", "--grid",
+      "2"], "boundary", "1e-6"),
+]
+
+
+class TestToleranceFlags:
+    def test_eps_flags_of_every_subcommand(self):
+        subparsers = _build_parser()._subparsers._group_actions[0].choices
+        registered = {
+            name: {option[len("--eps-"):] for action in parser._actions
+                   for option in action.option_strings
+                   if option.startswith("--eps-")}
+            for name, parser in subparsers.items()}
+        assert registered == {name: EPS_FLAGS.get(name, set())
+                              for name in subparsers}
+        # and each registered flag has a witness for each input that reads it
+        read = {(name, option, flag) for name, flags in EPS_FLAGS.items()
+                for action in subparsers[name]._actions
+                for option in action.option_strings
+                if option in INPUT_FLAGS for flag in flags} - UNREAD
+        assert {(argv[0], argv[1], flag)
+                for argv, flag, _ in EPS_WITNESSES} == read
+
+    @pytest.mark.parametrize("argv, flag, value", EPS_WITNESSES,
+                             ids=[f"{argv[0]} {argv[1]} --eps-{flag}"
+                                  for argv, flag, _ in EPS_WITNESSES])
+    def test_moving_the_flag_alone_moves_the_output(self, capsys, argv, flag,
+                                                    value):
+        assert outcome(capsys, argv) \
+            != outcome(capsys, [*argv, f"--eps-{flag}", value])
+
+    @pytest.mark.parametrize("argv, code", [
+        # eps_psd, not registered, follows eps_boundary below its default
+        (["member", "--point", "[0.5,0.5,0.5,-0.5]", "--oracle", "completion",
+          "--eps-boundary", "1e-11"], 0),
+        # eps_boundary, not registered, follows eps_psd above its default
+        (["dual", "--functional", "[0.5,0.5,0.5,-0.5]", "--eps-psd", "1e-8"],
+         0),
+        # both registered: eps_psd must not exceed eps_boundary
+        (["classify", "--point", "[0.5,0.5,0.5,-0.5]", "--eps-psd",
+          "1e-8"], 2),
+        (["complete", "--point", "[0.5,0.5,0.5,-0.5]", "--eps-psd",
+          "1e-8"], 2),
+    ], ids=["member", "dual", "classify", "complete"])
+    def test_unregistered_field_is_derived(self, capsys, argv, code):
+        if code == 0:
+            assert main(argv) == 0
+            return
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err \
+            == "qbody: error: eps_psd must not exceed eps_boundary\n"
 
 
 class TestFilesAndSeeds:
@@ -534,11 +647,34 @@ class TestExitCodes:
           # eps_psd must not exceed eps_boundary, 1e-9 by default
           for flag, value in (("--eps-boundary", "0.5"),
                               ("--eps-psd", "1e-12"))),
+        *(pytest.param([command, *args, flag, value], id=f"{command} {flag}")
+          for command, args, flag, value in (
+              ("member", ["--point", "[0.1,0.2,0.3,0.4]"], "--eps-psd",
+               "1e-12"),
+              ("angles", ["--point", "[1,0,0,1]"], "--eps-psd", "1e-12"),
+              ("expose", ["--angles", "[0.3,0.4,0.5,-1.2]"], "--eps-psd",
+               "1e-12"),
+              ("slice", ["--fix", "c11=-0.8", "--grid", "3"], "--eps-psd",
+               "1e-12"),
+              ("dual", ["--functional", "[0.5,0.5,0.5,-0.5]"],
+               "--eps-boundary", "0.5"))),
+        # registered, but read only with --point
+        *(pytest.param([command, "--angles", "[0.3,0.4,0.5,-1.2]",
+                        "--eps-boundary", "0.5"],
+                       id=f"{command} --angles --eps-boundary")
+          for command in ("angles", "expose")),
     ])
     def test_eps_flags_rejected_where_nothing_reads_them(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+        err, flag = capsys.readouterr().err, argv[-2]
+        if flag[len("--eps-"):] in EPS_FLAGS.get(argv[0], ()):
+            # registered, so refused for this input, naming the one that
+            # reads it
+            assert f"reads {flag} only with --point" in err
+        else:
+            assert f"unrecognized arguments: {flag}" in err
 
     def test_eps_flags_rejected_with_selftest_model(self, capsys, tmp_path):
         code, payload = run_cli(capsys, "model", "--angles",
