@@ -65,9 +65,9 @@ from .core import (
     Tolerance,
     _Floats,
     _check_finite,
-    _g,
+    _odd_halves,
 )
-from .membership import Oracle, _completion_slack, _u_interval, member
+from .membership import _completion_slack, _inverse_pushout, _u_interval
 
 __all__ = [
     "AngleTuple",
@@ -395,55 +395,44 @@ def classify(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE,
              check_rank: bool = True) -> Stratum:
     """Assign ``c`` to a stratum Q1..Q6 or EXTERIOR.
 
-    Boundary strata are only assigned inside the ``eps_boundary`` margin
-    band (or when a cube face is active).  Cube-face count takes precedence
-    over the sextic: four saturated coordinates give Q1, two give Q2, one
-    gives Q3 (facet cubic ≈ 0) or Q5 (facet cubic > 0), none gives Q4.
-    When ``check_rank`` is set, boundary verdicts are cross-checked against
-    the completion rank table and a mismatch raises
-    :class:`AmbiguousClassification`.
+    The stratum is the face of the cross polytope ``CL`` that holds the
+    inverse pushout ``x = (2/π)·asin(c)``, with ``eps = tol.eps_boundary``
+    a slack in ``x``: EXTERIOR if ``|c_ij| > 1 + eps`` or an odd half of
+    ``x`` exceeds ``1 + eps``; otherwise, by the count of cube-active
+    coordinates ``|x_ij| ≥ 1 - eps`` and whether an odd half (a CHSH face)
+    is at least ``1 - eps``, three or four give Q1, two Q2, one Q3 with a
+    CHSH face and Q5 without, none Q4 with a CHSH face and Q6 without.
 
-    Exception set: points within ``eps_boundary`` of a cube facet where
-    ``eps_boundary`` as a coordinate distance (``|c_ij| ≥ 1 - eps``) and as
-    a margin slack (the facet cubic, the rank check) disagree also raise
-    :class:`AmbiguousClassification`.
+    Float floor: near ``|c| = 1``, ``x`` resolves only to about
+    ``(2/π)·sqrt(2·(1 - |c|))``, 9.5e-9 for ``1 - 2⁻⁵³``.  So at the
+    default band only ``|c_ij| ≥ 1`` is cube-active, and ``eps = 1e-8``
+    also takes the float below 1.
+
+    With ``check_rank``, a boundary face is checked against the completion
+    rank table, and a mismatch raises :class:`AmbiguousClassification`.
+    That is the exception set: faces inside the band that the completion,
+    feasible at ``eps_boundary`` in its own slack and ranked at
+    ``eps_psd``, reads otherwise, such as an entry 1e-12 from ±1 on an
+    open facet (rank 2 where Q5 asks for 3).
     """
     eps = tol.eps_boundary
-    verdict = member(c, Oracle.SEMIALG, tol)
-    if verdict.margin < -eps:
-        return Stratum.EXTERIOR
-    if verdict.margin > eps:
-        return Stratum.Q6
-
     values = c.as_tuple()
-    saturated = [i for i, v in enumerate(values) if abs(v) >= 1.0 - eps]
-    k = len(saturated)
-
-    if k == 4:
+    x = [_inverse_pushout(v, _Floats) for v in values]
+    odd = max(abs(s) for s in _odd_halves(*x))
+    if max(abs(v) for v in values) > 1.0 + eps or odd > 1.0 + eps:
+        return Stratum.EXTERIOR
+    cube = sum(1 for v in x if abs(v) >= 1.0 - eps)
+    chsh = odd >= 1.0 - eps
+    if cube >= 3:
         stratum = Stratum.Q1
-    elif k == 3:
-        raise AmbiguousClassification(
-            "three saturated coordinates cannot occur on Q")
-    elif k == 2:
+    elif cube == 2:
         stratum = Stratum.Q2
-    elif k == 1:
-        i = saturated[0]
-        x, y, z = values[:i] + values[i + 1:]
-        cubic = _facet_cubic(x, y, z, 1.0 if values[i] >= 0.0 else -1.0)
-        if abs(cubic) <= eps:
-            stratum = Stratum.Q3
-        elif cubic > eps:
-            stratum = Stratum.Q5
-        else:
-            raise AmbiguousClassification(
-                "facet point outside its elliptope but inside the margin band")
+    elif cube == 1:
+        stratum = Stratum.Q3 if chsh else Stratum.Q5
+    elif chsh:
+        stratum = Stratum.Q4
     else:
-        g = _g(*values)
-        if g < 0.0:
-            stratum = Stratum.Q4
-        else:
-            raise AmbiguousClassification(
-                "boundary band point with no active face and g >= 0")
+        return Stratum.Q6
 
     if check_rank:
         comp = solve_completion(c, tol)

@@ -75,7 +75,6 @@ def _add_eps_flags(parser: argparse.ArgumentParser, *names: str) -> None:
 
 # (subcommand, tolerance field) -> the one input flag whose path reads it
 _READ_ONLY_WITH = {("angles", "eps_boundary"): "point",
-                   ("expose", "eps_boundary"): "point",
                    ("selftest", "eps_angle"): "angles"}
 
 
@@ -147,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--angles", type=_angles_arg, help=_ANGLES_HELP)
     group.add_argument("--point", type=_point_arg, help=_POINT_HELP)
-    _add_eps_flags(p, "boundary", "angle")
+    _add_eps_flags(p, "angle")
 
     p = sub.add_parser("model", help="explicit quantum model for angles")
     p.add_argument("--angles", type=_angles_arg, required=True,

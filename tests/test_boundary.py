@@ -1,9 +1,15 @@
 import math
+from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qbody import (
+    DEFAULT_TOLERANCE,
+    AmbiguousClassification,
     AngleSumViolation,
     AngleTuple,
     Correlation,
@@ -12,6 +18,7 @@ from qbody import (
     NotPSD,
     Oracle,
     Stratum,
+    Tolerance,
     angles_from_point,
     classify,
     exposing_functional,
@@ -19,6 +26,7 @@ from qbody import (
     gram_vectors,
     member,
     solve_completion,
+    symmetry_group,
 )
 from qbody.boundary import Completion
 
@@ -27,6 +35,7 @@ from helpers import (
     CHSH_POINT,
     SQRT2,
     deep_interior_point,
+    q1_point,
     q2_point,
     q3_point,
     q5_point,
@@ -100,6 +109,33 @@ class TestClassify:
             assert classify(q2_point(rng)) is Stratum.Q2
             assert classify(q3_point(rng)) is Stratum.Q3
             assert classify(q5_point(rng)) is Stratum.Q5
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
+           st.integers(0, 191))
+    def test_group_images_answer_the_angle_stratum(self, abg, k):
+        t = AngleTuple(*abg, -sum(abg))
+        # away from the junctions, where a sine vanishes
+        assume(min(abs(math.remainder(a, math.pi)) for a in t) >= 1e-3)
+        c = Correlation.from_sequence(symmetry_group()[k] @ t.cosines()
+                                      .as_array())
+        assert classify(c) is extreme_from_angles(t).stratum
+
+    def test_float_floor_of_a_cube_face(self):
+        """On an open facet, an entry of modulus 1 is cube-active and the
+        float below 1 is not at the default band: its pushout slack,
+        ``(2/π)·acos(1 - 2⁻⁵³)``, is 9.5e-9.  ``eps_boundary = 1e-8`` is the
+        first decade that takes it."""
+        below = math.nextafter(1.0, 0.0)
+        rest = (0.1, 0.2, 0.3)
+        for sign in (1.0, -1.0):
+            assert classify(Correlation(sign, *rest),
+                            check_rank=False) is Stratum.Q5
+            assert classify(Correlation(sign * below, *rest),
+                            check_rank=False) is Stratum.Q6
+            assert classify(Correlation(sign * below, *rest),
+                            Tolerance(eps_boundary=1e-8),
+                            check_rank=False) is Stratum.Q5
 
 
 class TestExtremeFromAngles:
@@ -244,27 +280,63 @@ class TestGramVectors:
                 < 1e-9
 
 
+# the eight odd sign patterns of the CHSH faces of CL
+_ODD_SIGNS = [signs for signs in product((1, -1), repeat=4)
+              if signs[0] * signs[1] * signs[2] * signs[3] == -1]
+_FACES = {(0, False): Stratum.Q6, (0, True): Stratum.Q4,
+          (1, False): Stratum.Q5, (1, True): Stratum.Q3,
+          (2, False): Stratum.Q2, (2, True): Stratum.Q2}
+
+
+def _face_count_mp(c: Correlation, eps: float) -> tuple[Stratum, bool]:
+    """The face of CL that holds ``(2/π)·asin(c)``, by 50-digit mpmath on
+    the float input, and whether a slack it compares with ``eps`` lies
+    within 1e-12 of it.  An entry in ``(1, 1 + eps]`` is read as ±1."""
+    with mpmath.workdps(50):
+        entries = [mpmath.mpf(v) for v in c.as_tuple()]
+        x = [2 / mpmath.pi * mpmath.asin(max(-1, min(1, v)))
+             for v in entries]
+        odd = max(sum(s * v for s, v in zip(signs, x)) / 2
+                  for signs in _ODD_SIGNS)
+        slacks = [abs(v) - 1 for v in entries] \
+            + [1 - abs(v) for v in x] + [odd - 1, 1 - odd]
+        near = any(abs(s - eps) < 1e-12 for s in slacks)
+        if max(abs(v) for v in entries) > 1 + eps or odd > 1 + eps:
+            return Stratum.EXTERIOR, near
+        cube = sum(1 for v in x if 1 - abs(v) <= eps)
+        if cube >= 3:
+            return Stratum.Q1, near
+        return _FACES[cube, 1 - odd <= eps], near
+
+
 class TestClassifyPerturbations:
     def test_band_perturbations_stay_sane(self):
-        # nudge exact stratum points by sub-tolerance amounts in random
-        # directions; classification either lands in a neighbouring stratum
-        # or reports the genuine tolerance conflict, never anything else
-        from qbody import AmbiguousClassification
-        from helpers import q1_point, q3_point
+        # nudge exact stratum points by sub-tolerance amounts: the face
+        # count matches the 50-digit one of the same float input, and the
+        # rank cross-check confirms it or reports the tolerance conflict.
+        # An inward nudge of a vertex can leave Q: its pushout slack is
+        # about 1e-6, far outside the band
         rng = np.random.default_rng(139)
+        points = []
         for _ in range(300):
             base = q3_point(rng).as_array()
             noise = rng.uniform(-1e-10, 1e-10, size=4)
-            try:
-                got = classify(Correlation.from_sequence(base + noise))
-            except AmbiguousClassification:
-                continue
-            assert got in (Stratum.Q3, Stratum.Q5, Stratum.EXTERIOR, Stratum.Q6)
+            points.append(Correlation.from_sequence(base + noise))
         for _ in range(300):
             base = q1_point(rng).as_array()
             noise = rng.uniform(-1e-10, 0.0, size=4) * np.sign(base)
-            try:
-                got = classify(Correlation.from_sequence(base + noise))
-            except AmbiguousClassification:
+            points.append(Correlation.from_sequence(base + noise))
+        eps = DEFAULT_TOLERANCE.eps_boundary
+        skipped = 0
+        for c in points:
+            expected, near = _face_count_mp(c, eps)
+            if near:
+                skipped += 1
                 continue
-            assert got in (Stratum.Q1, Stratum.Q2, Stratum.Q6)
+            assert classify(c, check_rank=False) is expected, c
+            try:
+                assert classify(c) is expected, c
+            except AmbiguousClassification:
+                pass
+        # the points too close to a threshold to compare
+        assert skipped == 0

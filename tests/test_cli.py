@@ -225,7 +225,7 @@ EPS_FLAGS = {
     "member": {"boundary"}, "slice": {"boundary"},
     "classify": {"boundary", "psd"}, "complete": {"boundary", "psd"},
     "dual": {"psd"},
-    "angles": {"boundary", "angle"}, "expose": {"boundary", "angle"},
+    "angles": {"boundary", "angle"}, "expose": {"angle"},
     "model": {"angle"}, "selftest": {"angle"}, "orbit": {"angle"},
 }
 INPUT_FLAGS = ("--point", "--functional", "--angles", "--model", "--fix",
@@ -233,7 +233,6 @@ INPUT_FLAGS = ("--point", "--functional", "--angles", "--model", "--fix",
 # (subcommand, input flag, eps flag) registered but read only with the
 # other input, so rejected with exit 2
 UNREAD = {("angles", "--angles", "boundary"),
-          ("expose", "--angles", "boundary"),
           ("selftest", "--model", "angle")}
 
 # points near the CHSH point just outside and just inside Q, a point just
@@ -261,15 +260,15 @@ EPS_WITNESSES = [
     (["angles", "--point", OFF_CUBE], "boundary", "1e-5"),
     (["angles", "--point", OFF_SUM], "angle", "1e-6"),
     (["angles", "--angles", LOOSE], "angle", "1e-6"),
-    (["expose", "--point", OFF_CUBE], "boundary", "1e-5"),
     (["expose", "--point", OFF_SUM], "angle", "1e-6"),
     (["expose", "--angles", LOOSE], "angle", "1e-6"),
     (["model", "--angles", LOOSE], "angle", "1e-6"),
     (["selftest", "--angles", LOOSE], "angle", "1e-6"),
     (["orbit", "--point", "[1,1,1,0.9999999]"], "angle", "1e-6"),
-    (["slice", "--fix", "c11=0.9999999", "--grid", "2"], "boundary", "1e-6"),
-    (["slice", "--normal", "[1,0,0,0]", "--offset", "0.9999999", "--grid",
-      "2"], "boundary", "1e-6"),
+    (["slice", "--fix", "c11=0.9999999999999", "--grid", "2"], "boundary",
+     "1e-6"),
+    (["slice", "--normal", "[1,0,0,0]", "--offset", "0.9999999999999",
+      "--grid", "2"], "boundary", "1e-6"),
 ]
 
 
@@ -654,11 +653,14 @@ class TestExitCodes:
               ("angles", ["--point", "[1,0,0,1]"], "--eps-psd", "1e-12"),
               ("expose", ["--angles", "[0.3,0.4,0.5,-1.2]"], "--eps-psd",
                "1e-12"),
+              ("expose", ["--point", "[1.000001,0,0,1]"], "--eps-boundary",
+               "1e-5"),
               ("slice", ["--fix", "c11=-0.8", "--grid", "3"], "--eps-psd",
                "1e-12"),
               ("dual", ["--functional", "[0.5,0.5,0.5,-0.5]"],
                "--eps-boundary", "0.5"))),
-        # registered, but read only with --point
+        # registered on angles but read only with --point; not registered
+        # on expose, whose --point path reads only the derived value
         *(pytest.param([command, "--angles", "[0.3,0.4,0.5,-1.2]",
                         "--eps-boundary", "0.5"],
                        id=f"{command} --angles --eps-boundary")
