@@ -67,7 +67,8 @@ from .core import (
     _check_finite,
     _odd_halves,
 )
-from .membership import _completion_slack, _inverse_pushout, _u_interval
+from .membership import (_completion_slack, _inverse_pushout, _max_abs,
+                         _u_interval)
 
 __all__ = [
     "AngleTuple",
@@ -380,63 +381,51 @@ def solve_completion(c: Correlation,
 # Stratum classification
 # ---------------------------------------------------------------------------
 
-def _facet_cubic(x, y, z, s):
-    """Residual elliptope cubic on a cube facet ``c_ij = s``, ``s = ±1``.
+# The faces of ``CL`` by index ``2·min(cube, 3) + chsh``, then EXTERIOR.
+_FACES = (Stratum.Q6, Stratum.Q4, Stratum.Q5, Stratum.Q3,
+          Stratum.Q2, Stratum.Q2, Stratum.Q1, Stratum.Q1, Stratum.EXTERIOR)
 
-    The remaining coordinates ``(x, y, z)``, in order, must satisfy
-    ``1 - x² - y² - z² + 2·s·x·y·z ≥ 0``; the orientation sign is the
-    sign of the saturated coordinate.  A column kernel (see
+
+def _face(a, b, c, d, eps, xp):
+    """The ``_FACES`` index of the face of ``CL`` that holds the inverse
+    pushout ``x = (2/π)·asin(c)``, with ``eps`` a slack in ``x``: EXTERIOR
+    if ``|c_ij| > 1 + eps`` or an odd half of ``x`` exceeds ``1 + eps``,
+    else by the count of cube-active ``|x_ij| ≥ 1 - eps`` and whether an
+    odd half (a CHSH face) is at least ``1 - eps``.  A column kernel (see
     :mod:`qbody.core`).
     """
-    return 1.0 - (x * x + y * y + z * z) + 2.0 * s * x * y * z
+    x = [_inverse_pushout(v, xp) for v in (a, b, c, d)]
+    odd = _max_abs(*_odd_halves(*x), xp)
+    cube = sum(abs(v) >= 1.0 - eps for v in x)
+    face = 2 * xp.minimum(cube, 3) + (odd >= 1.0 - eps)
+    outside = (_max_abs(a, b, c, d, xp) > 1.0 + eps) | (odd > 1.0 + eps)
+    return xp.maximum(face, 8 * outside)
 
 
-def classify(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE,
-             check_rank: bool = True) -> Stratum:
+def classify(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE) -> Stratum:
     """Assign ``c`` to a stratum Q1..Q6 or EXTERIOR.
 
     The stratum is the face of the cross polytope ``CL`` that holds the
-    inverse pushout ``x = (2/π)·asin(c)``, with ``eps = tol.eps_boundary``
-    a slack in ``x``: EXTERIOR if ``|c_ij| > 1 + eps`` or an odd half of
-    ``x`` exceeds ``1 + eps``; otherwise, by the count of cube-active
-    coordinates ``|x_ij| ≥ 1 - eps`` and whether an odd half (a CHSH face)
-    is at least ``1 - eps``, three or four give Q1, two Q2, one Q3 with a
-    CHSH face and Q5 without, none Q4 with a CHSH face and Q6 without.
+    inverse pushout (:func:`_face` at ``eps = tol.eps_boundary``): three
+    or four cube-active coordinates give Q1, two Q2, one Q3 with a CHSH
+    face and Q5 without, none Q4 with a CHSH face and Q6 without.
 
     Float floor: near ``|c| = 1``, ``x`` resolves only to about
     ``(2/π)·sqrt(2·(1 - |c|))``, 9.5e-9 for ``1 - 2⁻⁵³``.  So at the
     default band only ``|c_ij| ≥ 1`` is cube-active, and ``eps = 1e-8``
     also takes the float below 1.
 
-    With ``check_rank``, a boundary face is checked against the completion
-    rank table, and a mismatch raises :class:`AmbiguousClassification`.
-    That is the exception set: faces inside the band that the completion,
-    feasible at ``eps_boundary`` in its own slack and ranked at
-    ``eps_psd``, reads otherwise, such as an entry 1e-12 from ±1 on an
-    open facet (rank 2 where Q5 asks for 3).
+    A boundary face is always checked against the completion rank table,
+    and a mismatch raises :class:`AmbiguousClassification`.  That is the
+    exception set: faces inside the band that the completion, feasible at
+    ``eps_boundary`` in its own slack and ranked at ``eps_psd``, reads
+    otherwise, such as an entry 1e-12 from ±1 on an open facet (rank 2
+    where Q5 asks for 3).
     """
-    eps = tol.eps_boundary
-    values = c.as_tuple()
-    x = [_inverse_pushout(v, _Floats) for v in values]
-    odd = max(abs(s) for s in _odd_halves(*x))
-    if max(abs(v) for v in values) > 1.0 + eps or odd > 1.0 + eps:
-        return Stratum.EXTERIOR
-    cube = sum(1 for v in x if abs(v) >= 1.0 - eps)
-    chsh = odd >= 1.0 - eps
-    if cube >= 3:
-        stratum = Stratum.Q1
-    elif cube == 2:
-        stratum = Stratum.Q2
-    elif cube == 1:
-        stratum = Stratum.Q3 if chsh else Stratum.Q5
-    elif chsh:
-        stratum = Stratum.Q4
-    else:
-        return Stratum.Q6
-
-    if check_rank:
+    stratum = _FACES[_face(*c.as_tuple(), tol.eps_boundary, _Floats)]
+    expected = RANK_BY_STRATUM.get(stratum)
+    if expected is not None:
         comp = solve_completion(c, tol)
-        expected = RANK_BY_STRATUM[stratum]
         if not comp.feasible or comp.rank != expected or not comp.unique:
             raise AmbiguousClassification(
                 f"stratum {stratum.value} expects a unique rank-{expected} "

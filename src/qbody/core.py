@@ -328,10 +328,11 @@ CHSH_SIGN_PATTERNS = tuple(
 #
 # Every formula is written once, as a function of the four coordinates.
 # The same code evaluates one point (Python floats) or a batch (numpy
-# columns, ``*pts.T``).  Kernels use only ``+ - *``, the builtin ``abs``,
-# and ``minimum``, ``maximum``, ``sqrt``, ``arcsin`` and ``clip`` from a
-# namespace argument ``xp``: ``numpy`` for arrays, :class:`_Floats` for
-# floats, which keeps numpy's per-call overhead off the scalar path.
+# columns, ``*pts.T``).  Kernels use only ``+ - * |``, comparisons, the
+# builtins ``abs`` and ``sum``, and ``minimum``, ``maximum``, ``sqrt``,
+# ``arcsin`` and ``clip`` from a namespace argument ``xp``: ``numpy`` for
+# arrays, :class:`_Floats` for floats, which keeps numpy's per-call
+# overhead off the scalar path.
 # Batch callers go through ``membership._by_blocks``, which evaluates a
 # kernel a few thousand rows at a time: a kernel makes a few dozen
 # temporaries, and on block-sized columns they stay in the core's cache.

@@ -28,10 +28,11 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, TextIO
 
-from .core import (Correlation, InvalidSlice, Tolerance, DEFAULT_TOLERANCE,
+from .core import (_REL_TOL, Correlation, ConsistencyError, InvalidSlice,
+                   Tolerance, DEFAULT_TOLERANCE, _g, _h, _h_squared,
                    primal_polys, symmetry_group)
 from .membership import Oracle, _by_blocks, classical_margin_batch, margin_batch
-from .boundary import _facet_cubic, classify
+from .boundary import _FACES, _face
 
 __all__ = [
     "Body",
@@ -110,8 +111,8 @@ def mc_volume(body: Body, cfg: SamplerConfig) -> VolumeEstimate:
             hits += int((margin_batch(pts, Oracle.SEMIALG) >= 0.0).sum())
         elif body is Body.CL:
             hits += int((classical_margin_batch(pts) >= 0.0).sum())
-        else:
-            hits += int((_by_blocks(_facet_cubic, pts, 1.0) >= 0.0).sum())
+        else:  # g(x, y, z, 1) = 1 - x² - y² - z² + 2xyz
+            hits += int((_by_blocks(_g, pts, 1.0) >= 0.0).sum())
         remaining -= n
         block += 1
     fraction = hits / cfg.samples
@@ -182,7 +183,8 @@ def _accept_q5(rng: np.random.Generator) -> np.ndarray:
     facets = rng.integers(0, 8, size=_BLOCK)
     axis = facets // 2
     sign = np.where(facets % 2 == 0, 1.0, -1.0)
-    keep = (_facet_cubic(*coords.T, sign) > _FACET_COLLAR) \
+    # g is symmetric, so the saturated coordinate may go last
+    keep = (_g(*coords.T, sign) > _FACET_COLLAR) \
         & (np.abs(coords).max(axis=1) < 1.0 - _FACET_COLLAR)
     coords, axis, sign = coords[keep], axis[keep], sign[keep]
     # the saturated coordinate goes in column ``axis``, the free ones
@@ -294,10 +296,11 @@ def slice_grid(spec: SliceSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> SliceTabl
     """Label every grid node with stratum, classical bit, g, and h.
 
     Row count is the product of the per-axis resolutions; node order is
-    row-major in the free axes.  The stratum is the classification of the
-    full 4-dimensional point (EXTERIOR when the node leaves the body or
-    the cube); completion-rank cross-checks are skipped here for
-    throughput, being covered by the classification tests.
+    row-major in the free axes.  The stratum is the face count of
+    :func:`qbody.boundary.classify`, on numpy columns and never through
+    its rank check, so a label differs from ``classify`` only where
+    ``classify`` raises.  ``g`` and ``h`` are checked on every node, and
+    the first node that fails raises what ``primal_polys`` raises for it.
     """
     import numpy as np
     free = spec.free_axes()
@@ -318,14 +321,18 @@ def slice_grid(spec: SliceSpec, tol: Tolerance = DEFAULT_TOLERANCE) -> SliceTabl
             nodes[:, dependent] = acc / float(spec.normal[dependent])
         if not np.isfinite(nodes).all():
             raise InvalidSlice("a solved hyperplane coordinate is not finite")
-    classical = classical_margin_batch(nodes) >= 0.0
-
-    rows = []
-    for point, inside in zip(nodes.tolist(), classical.tolist()):
-        c = Correlation(*point)
-        stratum = classify(c, tol, check_rank=False)
-        polys = primal_polys(c)
-        rows.append(tuple(point[i] for i in at_free)
-                    + (stratum.value, int(inside), polys.g, polys.h))
+    g, h, h_alt = (_by_blocks(k, nodes) for k in (_g, _h, _h_squared))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _REL_TOL * np.maximum(1.0, np.maximum(abs(h), abs(h_alt)))
+        ok = np.isfinite([g, h, h_alt]).all(axis=0) & (abs(h - h_alt) <= bound)
+    if not ok.all():
+        c = Correlation(*nodes[ok.argmin()].tolist())
+        primal_polys(c)
+        raise ConsistencyError(f"slice check and primal_polys differ at {c!r}")
+    face = _by_blocks(_face, nodes, tol.eps_boundary, np).astype(int)
+    labels = np.array([s.value for s in _FACES])[face]
+    classical = (classical_margin_batch(nodes) >= 0.0).astype(int)
+    rows = list(zip(*nodes[:, at_free].T.tolist(), labels.tolist(),
+                    classical.tolist(), g.tolist(), h.tolist()))
     return SliceTable(columns=tuple(free) + ("stratum", "classical", "g", "h"),
                       rows=rows)

@@ -88,9 +88,12 @@ class MembershipVerdict:
 # Margin kernels (see the column-kernel notes in qbody.core)
 # ---------------------------------------------------------------------------
 
+def _max_abs(a, b, c, d, xp):
+    return xp.maximum(xp.maximum(abs(a), abs(b)), xp.maximum(abs(c), abs(d)))
+
+
 def _cube_slack(a, b, c, d, xp):
-    return 1.0 - xp.maximum(xp.maximum(abs(a), abs(b)),
-                            xp.maximum(abs(c), abs(d)))
+    return 1.0 - _max_abs(a, b, c, d, xp)
 
 
 def _inverse_pushout(v, xp):
@@ -110,8 +113,7 @@ def _u_interval(a, b, c, d, xp):
 
 
 def _classical(a, b, c, d, xp):
-    s1, s2, s3, s4 = _odd_halves(a, b, c, d)
-    odd = xp.maximum(xp.maximum(abs(s1), abs(s2)), xp.maximum(abs(s3), abs(s4)))
+    odd = _max_abs(*_odd_halves(a, b, c, d), xp)
     return xp.minimum(_cube_slack(a, b, c, d, xp), 1.0 - odd)
 
 

@@ -26,7 +26,8 @@ from qbody import (
     member,
     symmetry_group,
 )
-from qbody.boundary import _count_above, _psd_threshold
+from qbody.boundary import _FACES, _count_above, _face, _psd_threshold
+from qbody.core import _Floats
 from qbody.quantum import (_COMMUTATOR_TOL, _PSI_NORM_TOL, _SPECTRUM_TOL,
                            _SYMMETRY_TOL, QuantumModel)
 
@@ -82,6 +83,12 @@ def tetra_angles(rng: np.random.Generator, n: int, collar: float = 0.05,
                 continue
         out.append(t)
     return out
+
+
+def face_of(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE):
+    """The stratum of ``c`` by the scalar face count alone, the answer of
+    ``classify`` without its completion rank check."""
+    return _FACES[_face(*c.as_tuple(), tol.eps_boundary, _Floats)]
 
 
 def group_matrices() -> list[np.ndarray]:

@@ -28,13 +28,15 @@ from qbody import (
     solve_completion,
     symmetry_group,
 )
-from qbody.boundary import Completion
+from qbody.boundary import Completion, _face
+from qbody.core import _Floats
 
 from helpers import (
     CHSH_ANGLES,
     CHSH_POINT,
     SQRT2,
     deep_interior_point,
+    face_of,
     q1_point,
     q2_point,
     q3_point,
@@ -129,13 +131,58 @@ class TestClassify:
         below = math.nextafter(1.0, 0.0)
         rest = (0.1, 0.2, 0.3)
         for sign in (1.0, -1.0):
-            assert classify(Correlation(sign, *rest),
-                            check_rank=False) is Stratum.Q5
-            assert classify(Correlation(sign * below, *rest),
-                            check_rank=False) is Stratum.Q6
-            assert classify(Correlation(sign * below, *rest),
-                            Tolerance(eps_boundary=1e-8),
-                            check_rank=False) is Stratum.Q5
+            assert face_of(Correlation(sign, *rest)) is Stratum.Q5
+            assert face_of(Correlation(sign * below, *rest)) is Stratum.Q6
+            assert face_of(Correlation(sign * below, *rest),
+                           Tolerance(eps_boundary=1e-8)) is Stratum.Q5
+
+
+_BELOW = math.nextafter(1.0, 0.0)
+_ANGLE = st.one_of(st.floats(-math.pi, math.pi),
+                   st.sampled_from([k * math.pi / 2 for k in range(-2, 3)]))
+
+
+@st.composite
+def _group_image(draw):
+    """A symmetry image of the cosines of an angle tuple; angles at
+    multiples of π give the junctions Q1–Q3."""
+    abg = draw(st.tuples(_ANGLE, _ANGLE, _ANGLE))
+    c = symmetry_group()[draw(st.integers(0, 191))] \
+        @ AngleTuple(*abg, -sum(abg)).cosines().as_array()
+    return tuple(map(float, c))
+
+
+@st.composite
+def _facet_point(draw):
+    """A point with one entry of modulus 1, the float below 1 or just
+    above 1, inside or outside its facet's elliptope."""
+    free = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    at = draw(st.sampled_from([1.0, _BELOW, 1.0 + 2e-16, 1.0 + 1e-9,
+                               1.0 + 2e-9]))
+    free.insert(draw(st.integers(0, 3)), draw(st.sampled_from([1, -1])) * at)
+    return tuple(free)
+
+
+_EDGE_ENTRIES = st.tuples(*[st.one_of(
+    st.sampled_from([1.0, -1.0, _BELOW, -_BELOW, 0.0]),
+    st.floats(-1.0, 1.0))] * 4)
+# a group image pushed outward: beyond a CHSH face, or beyond the cube
+# where it has an entry ±1
+_BEYOND = st.builds(lambda c, step: tuple(v * (1.0 + step) for v in c),
+                    _group_image(),
+                    st.sampled_from([2e-16, 1e-12, 1e-9, 2e-9, 1e-8, 1e-6]))
+
+
+class TestFaceKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(_group_image(), _facet_point(), _EDGE_ENTRIES,
+                              _BEYOND), min_size=1, max_size=64),
+           st.sampled_from([1e-9, 1e-8]))
+    def test_columns_match_scalar_path(self, points, eps):
+        # np.arcsin and math.asin differ in the last bit on some inputs;
+        # the face they give must not
+        columns = _face(*np.array(points).T, eps, np)
+        assert columns.tolist() == [_face(*c, eps, _Floats) for c in points]
 
 
 class TestExtremeFromAngles:
@@ -333,7 +380,7 @@ class TestClassifyPerturbations:
             if near:
                 skipped += 1
                 continue
-            assert classify(c, check_rank=False) is expected, c
+            assert face_of(c) is expected, c
             try:
                 assert classify(c) is expected, c
             except AmbiguousClassification:

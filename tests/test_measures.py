@@ -7,6 +7,7 @@ import pytest
 
 from qbody import (
     Body,
+    ConsistencyError,
     Correlation,
     InvalidSlice,
     Oracle,
@@ -30,7 +31,7 @@ from qbody.measures import (
     EXACT_Q_FRACTION,
 )
 
-from helpers import group_matrices
+from helpers import face_of, group_matrices
 
 
 class TestMcVolume:
@@ -194,7 +195,7 @@ def _slice_reference(spec: SliceSpec) -> SliceTable:
         c = Correlation(*(float(values[a]) for a in axes))
         polys = primal_polys(c)
         rows.append(tuple(float(v) for v in node)
-                    + (classify(c, check_rank=False).value,
+                    + (face_of(c).value,
                        int(member_classical(c).inside), polys.g, polys.h))
     return SliceTable(columns=tuple(free) + ("stratum", "classical", "g", "h"),
                       rows=rows)
@@ -281,6 +282,24 @@ class TestSliceGrid:
                          resolution=2)
         with pytest.raises(InvalidSlice, match="not finite"):
             slice_grid(spec)
+
+    @pytest.mark.parametrize("fixed, error, detail", [
+        ({"c11": math.nan}, ValueError, "must be finite"),
+        ({"c11": math.inf}, ValueError, "must be finite"),
+        ({"c11": 1e308}, ConsistencyError, "the float range"),  # g and h
+        ({"c11": 1e100}, ConsistencyError, "the float range"),  # h alone
+        ({"c11": 1.2e77, "c12": 1.2e77}, ConsistencyError,
+         "two evaluation forms of h disagree"),
+    ])
+    def test_node_errors_match_node_loop(self, fixed, error, detail):
+        # the error, and its detail naming the first failing node, is the
+        # one the scalar path raises
+        spec = SliceSpec(fixed=fixed, resolution=3)
+        with pytest.raises(error, match=detail) as expected:
+            _slice_reference(spec)
+        with pytest.raises(error, match=detail) as raised:
+            slice_grid(spec)
+        assert str(raised.value) == str(expected.value)
 
     def test_csv_format(self):
         table = slice_grid(SliceSpec(fixed={"c11": 1.0, "c12": 1.0,

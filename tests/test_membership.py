@@ -182,13 +182,13 @@ class TestBlocks:
             == _classical(*pts.T, np).tobytes()
 
     def test_mc_volume_matches_unblocked_kernel(self):
-        from qbody.boundary import _facet_cubic
+        from qbody.core import _g
         from qbody.measures import _BLOCK, _block_rng
         seed, samples = 5, 100003          # 100003 = 65536 + 4·8192 + 1699
         unblocked = {
             Body.Q: lambda p: _MARGINS[Oracle.SEMIALG](*p.T, np),
             Body.CL: lambda p: _classical(*p.T, np),
-            Body.ELLIPTOPE3: lambda p: _facet_cubic(*p.T, 1.0),
+            Body.ELLIPTOPE3: lambda p: _g(*p.T, 1.0),
         }
         for body, kernel in unblocked.items():
             dim = 3 if body is Body.ELLIPTOPE3 else 4
