@@ -67,8 +67,8 @@ from .core import (
     _check_finite,
     _odd_halves,
 )
-from .membership import (_completion_slack, _inverse_pushout, _max_abs,
-                         _u_interval)
+from .membership import (_completion_slack, _entry_interval,
+                         _inverse_pushout, _max_abs)
 
 __all__ = [
     "AngleTuple",
@@ -125,7 +125,8 @@ class AngleTuple:
     angle tolerance unless given; ``eps`` takes no part in equality.
     :meth:`canonical` returns the representative with every angle in
     ``(-pi, pi]`` and the overall-negation ambiguity of the cosine
-    parametrization resolved (``alpha ∈ [0, pi]``).
+    parametrization resolved (``alpha ∈ [0, pi]``), decided and validated
+    at the tuple's own ``eps``.
     """
 
     alpha: float
@@ -159,8 +160,8 @@ class AngleTuple:
     def cosines(self) -> Correlation:
         return Correlation(*(math.cos(t) for t in self.as_tuple()))
 
-    def canonical(self, eps: float | None = None) -> "AngleTuple":
-        eps = self.eps if eps is None else eps
+    def canonical(self) -> "AngleTuple":
+        eps = self.eps
         vals = [_wrap_angle(t, eps) for t in self.as_tuple()]
         flip = False
         if vals[0] < -eps:
@@ -327,8 +328,6 @@ class CompletionResult:
     feasible: bool
     witness: Completion
     unique: bool
-    u_interval: tuple[float, float]
-    v_interval: tuple[float, float]
     tol: Tolerance
 
     @functools.cached_property
@@ -356,8 +355,8 @@ def solve_completion(c: Correlation,
     c11, c12, c21, c22 = c.as_tuple()
     eps = tol.eps_boundary
 
-    lu, ru = _u_interval(c11, c12, c21, c22, _Floats)
-    lv, rv = _u_interval(c11, c21, c12, c22, _Floats)
+    lu, ru = _entry_interval(c11, c12, c21, c22, _Floats)
+    lv, rv = _entry_interval(c11, c21, c12, c22, _Floats)
 
     feasible = _completion_slack(c11, c12, c21, c22, lu, ru, _Floats) >= -eps
 
@@ -374,7 +373,7 @@ def solve_completion(c: Correlation,
         and (rv - lv) <= _UNIQUE_WIDTH
 
     return CompletionResult(feasible=feasible, witness=witness, unique=unique,
-                            u_interval=(lu, ru), v_interval=(lv, rv), tol=tol)
+                            tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +507,7 @@ def angles_from_point(c: Correlation,
     total = sum(raw)
     shift = TWO_PI * round(total / TWO_PI)
     raw[3] -= total - shift
-    return AngleTuple(*raw).canonical(tol.eps_angle)
+    return AngleTuple(*raw, eps=tol.eps_angle).canonical()
 
 
 def exposing_functional(t: AngleTuple,

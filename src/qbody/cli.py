@@ -162,12 +162,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("volume", help="Monte-Carlo volume fraction")
     p.add_argument("--body", choices=sorted(_BODIES), default="q")
     p.add_argument("--samples", type=int, default=1000000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("sample", help="draw points from a target set")
     p.add_argument("--target", choices=sorted(_TARGETS), default="cube")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write CSV to this path instead of JSON")
 
     p = sub.add_parser("slice", help="labelled grid over a slice of the cube")
@@ -226,7 +226,7 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         return {"gauge": duality.gauge(args.point)}
 
     if cmd == "dual":
-        verdict = duality.dual_member(args.functional, tol=tol)
+        verdict = duality.dual_member(args.functional)
         completion = duality.dual_completion(args.functional, tol)
         return {
             "member": _verdict_dict(verdict),
@@ -276,13 +276,7 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         return dataclasses.asdict(quantum.selftest_residuals(model))
 
     if cmd in ("volume", "sample"):
-        env = os.environ.get("QBODY_SEED", "0")
-        try:
-            seed = int(env) if args.seed is None else args.seed
-        except ValueError:
-            raise ValueError(f"QBODY_SEED must be an integer, got {env!r}") \
-                from None
-        cfg = measures.SamplerConfig(seed=seed, samples=args.samples)
+        cfg = measures.SamplerConfig(seed=args.seed, samples=args.samples)
         if cmd == "volume":
             return dataclasses.asdict(
                 measures.mc_volume(_BODIES[args.body], cfg))
@@ -306,7 +300,7 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         table = measures.slice_grid(spec, tol)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                table.write_csv(fh)
+                measures.write_csv(fh, table.columns, table.rows)
             return {"written": args.out, "rows": len(table.rows)}
         return {"columns": list(table.columns),
                 "rows": [list(row) for row in table.rows]}

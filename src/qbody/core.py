@@ -305,14 +305,6 @@ class TransformDirection(enum.Enum):
     FROM_DUAL = "from_dual"    # x -> 2·H·x
 
 
-# The rows of the integer ±1 matrix 2H; H itself satisfies H² = identity.
-# It is symmetric, so these rows are also its columns.
-_TWO_H_ROWS = ((1, 1, 1, 1),
-               (1, -1, 1, -1),
-               (1, 1, -1, -1),
-               (1, -1, -1, 1))
-
-
 # Sign patterns with an odd number of minus signs, ordered by the 4-bit
 # integer (b11 b12 b21 b22) where bit 1 means a minus sign.  Pattern 0001,
 # the first entry, is the standard ½(c11+c12+c21-c22) combination.
@@ -446,7 +438,7 @@ def dual_polys(f: Functional) -> DualPolys:
     p = f11 * f12 * f21 * f22
     q = _q(*t)
     norm2 = f11 * f11 + f12 * f12 + f21 * f21 + f22 * f22
-    h_dual = _h_polar(*t)
+    h_dual = k - p
     g_dual = 1.0 - 2.0 * norm2 + q
 
     y = _two_h(*t)

@@ -66,9 +66,8 @@ from .core import (
     _k,
     _q,
     _two_h,
-    _TWO_H_ROWS,
 )
-from .membership import MembershipVerdict, Oracle, member
+from .membership import MembershipVerdict, member
 from .boundary import AngleTuple, _Certificate, exposing_functional
 
 __all__ = [
@@ -154,8 +153,10 @@ def quantum_case(f: Functional) -> CaseVerdict:
     # maximizer at (1,1,1,1), the elementary symmetric cubic is negative
     y = _two_h(*entries)
     kstar = max(range(4), key=lambda i: abs(y[i]))  # the first maximum
-    sign = 1 if y[kstar] >= 0 else -1
-    vertex = tuple(float(sign * s) for s in _TWO_H_ROWS[kstar])
+    # the vertex is column kstar of 2H, signed: 2H applied to ±e_kstar
+    unit = [0.0] * 4
+    unit[kstar] = 1.0 if y[kstar] >= 0 else -1.0
+    vertex = _two_h(*unit)
     fp = [s * v for s, v in zip(vertex, entries)]
     cubic = (fp[0] * fp[1] * fp[2] + fp[0] * fp[1] * fp[3]
              + fp[0] * fp[2] * fp[3] + fp[1] * fp[2] * fp[3])
@@ -216,18 +217,17 @@ def gauge(c: Correlation) -> float:
     return support(Functional(*half_hc))
 
 
-def dual_member(f: Functional, oracle: Oracle = Oracle.SEMIALG,
-                tol: Tolerance = DEFAULT_TOLERANCE) -> MembershipVerdict:
-    """Decide ``f ∈ Q°`` by mapping to the primal body.
+def dual_member(f: Functional) -> MembershipVerdict:
+    """Decide ``f ∈ Q°`` as ``2Hf ∈ Q`` by the ``SEMIALG`` oracle.
 
-    The primal verdict on ``2Hf`` and the support test ``support(f) ≤ 1``
-    must agree outside a 1e-8 band around the boundary.  A functional whose
-    ``2Hf`` leaves the float range raises :class:`ConsistencyError`.
+    That verdict and the support test ``support(f) ≤ 1`` must agree
+    outside a 1e-8 band around the boundary.  A functional whose ``2Hf``
+    leaves the float range raises :class:`ConsistencyError`.
     """
     two_hf = dual_transform(f.as_tuple(), TransformDirection.FROM_DUAL)
     if not all(map(math.isfinite, two_hf)):
         raise ConsistencyError(f"2Hf overflows the float range: {two_hf!r}")
-    verdict = member(Correlation(*two_hf), oracle, tol)
+    verdict = member(Correlation(*two_hf))
     s = support(f)
     if (s <= 1.0) != verdict.inside:
         if abs(s - 1.0) > 1e-8 and abs(verdict.margin) > 1e-8:

@@ -274,13 +274,10 @@ class SliceSpec:
 
 @dataclass(frozen=True)
 class SliceTable:
-    """Grid evaluation result; one row per node, CSV-exportable."""
+    """Grid evaluation result; one row per node, for :func:`write_csv`."""
 
     columns: tuple[str, ...]
     rows: list[tuple]
-
-    def write_csv(self, stream: TextIO) -> None:
-        write_csv(stream, self.columns, self.rows)
 
 
 def write_csv(stream: TextIO, columns: Sequence[str],

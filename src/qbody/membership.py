@@ -101,7 +101,7 @@ def _inverse_pushout(v, xp):
     return (2.0 / math.pi) * xp.arcsin(xp.clip(v, -1.0, 1.0))
 
 
-def _u_interval(a, b, c, d, xp):
+def _entry_interval(a, b, c, d, xp):
     """The interval ``(lo, hi)``, empty if ``lo > hi``, where the free
     entry ``u`` of the completion of ``(a, b, c, d)`` keeps the parabolas
     ``(1 - a²)(1 - c²) - (u - a·c)²`` and ``(1 - b²)(1 - d²) - (u - b·d)²``
@@ -132,7 +132,7 @@ def _pushout(a, b, c, d, xp):
 def _completion_slack(a, b, c, d, lo, hi, xp):
     # Positive-semidefinite completability reduces to the intersection of
     # the nonnegativity intervals of two downward parabolas in the free
-    # entry u, ``(lo, hi)`` from _u_interval, plus the four 2x2 diagonal
+    # entry u, ``(lo, hi)`` from _entry_interval, plus the four 2x2 diagonal
     # minors (the cube, quadratically).
     quad = xp.minimum(xp.minimum(1.0 - a * a, 1.0 - b * b),
                       xp.minimum(1.0 - c * c, 1.0 - d * d))
@@ -140,7 +140,7 @@ def _completion_slack(a, b, c, d, lo, hi, xp):
 
 
 def _completion(a, b, c, d, xp):
-    return _completion_slack(a, b, c, d, *_u_interval(a, b, c, d, xp), xp)
+    return _completion_slack(a, b, c, d, *_entry_interval(a, b, c, d, xp), xp)
 
 
 def _timo(a, b, c, d, xp):
@@ -221,7 +221,9 @@ def member(c: Correlation, oracle: Oracle = Oracle.SEMIALG,
     """Decide ``c ∈ Q`` by the named characterization.
 
     All oracles agree exactly as sets; floating-point verdicts may differ
-    within ``tol.eps_boundary`` of the boundary.
+    within ``tol.eps_boundary`` of the boundary.  Only ``COMPLETION``
+    reads ``tol``; the other four decide by ``margin ≥ 0`` (whether they
+    should honour the band is ROADMAP item 4, still open).
 
     ``COMPLETION`` is inside down to a margin of ``-tol.eps_boundary``, as
     :func:`qbody.boundary.solve_completion` is feasible.  Its sign must match

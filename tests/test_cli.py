@@ -359,23 +359,16 @@ class TestFilesAndSeeds:
         assert capsys.readouterr().out \
             == json.dumps(dataclasses.asdict(report())) + "\n"
 
-    def test_env_seed_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("QBODY_SEED", "77")
-        code1, data1 = run_cli(capsys, "volume", "--body", "cl",
-                               "--samples", "50000")
-        monkeypatch.setenv("QBODY_SEED", "78")
-        code2, data2 = run_cli(capsys, "volume", "--body", "cl",
-                               "--samples", "50000")
-        assert code1 == code2 == 0
-        assert data1["fraction"] != data2["fraction"]
-
-    def test_env_seed_not_an_integer_is_usage_error(self, capsys,
-                                                    monkeypatch):
-        monkeypatch.setenv("QBODY_SEED", "abc")
-        with pytest.raises(SystemExit) as info:
-            main(["volume", "--samples", "1000"])
-        assert info.value.code == 2
-        assert "QBODY_SEED" in capsys.readouterr().err
+    @pytest.mark.parametrize("env", ["77", "abc"])
+    def test_environment_does_not_seed(self, capsys, monkeypatch, env):
+        # only --seed sets the seed, which defaults to 0
+        monkeypatch.setenv("QBODY_SEED", env)
+        for argv in (["volume", "--body", "cl", "--samples", "50000"],
+                     ["sample", "--target", "cube", "--samples", "5"]):
+            assert main(argv) == 0
+            unseeded = capsys.readouterr().out
+            assert main(argv + ["--seed", "0"]) == 0
+            assert capsys.readouterr().out == unseeded
 
 
 class TestExitCodes:

@@ -29,6 +29,7 @@ from qbody.measures import (
     EXACT_CL_FRACTION,
     EXACT_ELLIPTOPE_FRACTION,
     EXACT_Q_FRACTION,
+    write_csv,
 )
 
 from helpers import face_of, group_matrices
@@ -203,7 +204,7 @@ def _slice_reference(spec: SliceSpec) -> SliceTable:
 
 def _csv(table: SliceTable) -> str:
     buffer = io.StringIO()
-    table.write_csv(buffer)
+    write_csv(buffer, table.columns, table.rows)
     return buffer.getvalue()
 
 
@@ -305,7 +306,7 @@ class TestSliceGrid:
         table = slice_grid(SliceSpec(fixed={"c11": 1.0, "c12": 1.0,
                                             "c21": 1.0}, resolution=3))
         buffer = io.StringIO()
-        table.write_csv(buffer)
+        write_csv(buffer, table.columns, table.rows)
         text = buffer.getvalue()
         lines = text.split("\n")
         assert lines[0] == "c22,stratum,classical,g,h"
