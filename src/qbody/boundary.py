@@ -126,7 +126,7 @@ class AngleTuple:
     :meth:`canonical` returns the representative with every angle in
     ``(-pi, pi]`` and the overall-negation ambiguity of the cosine
     parametrization resolved (``alpha ∈ [0, pi]``), decided and validated
-    at the tuple's own ``eps``.
+    at the tuple's own ``eps``, which the angle functions read as well.
     """
 
     alpha: float
@@ -443,26 +443,25 @@ class ExtremePoint:
     stratum: Stratum
 
 
-def extreme_from_angles(t: AngleTuple,
-                        tol: Tolerance = DEFAULT_TOLERANCE) -> ExtremePoint:
+def extreme_from_angles(t: AngleTuple) -> ExtremePoint:
     """Map an angle tuple to its correlation point and stratum.
 
     The stratum follows the sign of the sine product: negative gives an
     exposed extreme point (Q4), positive an interior point (Q6), and zero
     the lower strata by the number of angles that are multiples of π.
+    Both are decided at the tuple's own ``t.eps``, the tolerance its sum
+    was validated at when it was built.
     """
-    res = _sum_residual(sum(t.as_tuple()))
-    if res > tol.eps_angle:
-        raise AngleSumViolation(f"angle sum residual {res:.3e}")
+    eps = t.eps
     point = t.cosines()
     sines = t.sines()
     delta = t.delta_product()
-    if delta < -tol.eps_angle:
+    if delta < -eps:
         stratum = Stratum.Q4
-    elif delta > tol.eps_angle:
+    elif delta > eps:
         stratum = Stratum.Q6
     else:
-        multiples = sum(1 for s in sines if abs(s) <= tol.eps_angle)
+        multiples = sum(1 for s in sines if abs(s) <= eps)
         if multiples >= 3:
             # the sum constraint forces the fourth to be a multiple as well
             stratum = Stratum.Q1
@@ -479,8 +478,9 @@ def angles_from_point(c: Correlation,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> AngleTuple:
     """Recover the canonical angle tuple of an extreme-stratum point.
 
-    Searches the 16 sign patterns of coordinatewise arccos for one meeting
-    the sum constraint.  Raises :class:`NotExtreme` when none does (facet
+    Searches the sign patterns of coordinatewise arccos, up to overall
+    negation, for one meeting the sum constraint at ``tol.eps_angle``, the
+    tuple's ``eps``.  Raises :class:`NotExtreme` when none does (facet
     interiors, interior points, and exterior points admit no cosine
     parametrization).  Accuracy degrades like ``1/|sin|`` next to the
     strata where a coordinate saturates.
@@ -491,7 +491,9 @@ def angles_from_point(c: Correlation,
     base = [math.acos(min(1.0, max(-1.0, v))) for v in values]
 
     best: tuple[float, tuple[int, ...]] | None = None
-    for mask in range(16):
+    # masks m and 15 - m negate the total, and tie as math.remainder is
+    # odd; the strict < keeps the lower one, so masks 8..15 never win
+    for mask in range(8):
         signs = tuple(-1 if (mask >> j) & 1 else 1 for j in range(4))
         total = sum(s * b for s, b in zip(signs, base))
         res = _sum_residual(total)
@@ -510,23 +512,23 @@ def angles_from_point(c: Correlation,
     return AngleTuple(*raw, eps=tol.eps_angle).canonical()
 
 
-def exposing_functional(t: AngleTuple,
-                        tol: Tolerance = DEFAULT_TOLERANCE) -> Functional:
+def exposing_functional(t: AngleTuple) -> Functional:
     """The unique functional with ``f·c = 1`` exactly at the Q4 point of ``t``.
 
-    Requires a strictly exposed point: every sine bounded away from zero
-    and the cotangent sum ``K`` nonzero, otherwise
-    :class:`DegenerateAngles`.
+    Requires a strictly exposed point at the tuple's own ``t.eps``: every
+    sine and the cotangent sum ``K`` at least ``t.eps`` in size and the
+    sine product below ``-t.eps``, otherwise :class:`DegenerateAngles`.
     """
+    eps = t.eps
     sines = t.sines()
-    if min(abs(s) for s in sines) < tol.eps_angle:
+    if min(abs(s) for s in sines) < eps:
         raise DegenerateAngles("a sine vanishes; the functional is unbounded")
     delta = t.delta_product()
-    if delta >= -tol.eps_angle:
+    if delta >= -eps:
         raise DegenerateAngles(
             f"sine product {delta:.3e} is not strictly negative")
     K = sum(math.cos(a) / math.sin(a) for a in t.as_tuple())
-    if abs(K) < tol.eps_angle:
+    if abs(K) < eps:
         raise DegenerateAngles("cotangent sum vanishes")
     f = Functional(*(1.0 / (K * s) for s in sines))
     incidence = f.dot(t.cosines())

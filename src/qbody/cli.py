@@ -252,13 +252,13 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         if t is None:
             t = boundary.angles_from_point(args.point, tol)
             return {"angles": list(t.as_tuple())}
-        ext = boundary.extreme_from_angles(t, tol)
+        ext = boundary.extreme_from_angles(t)
         return {"point": list(ext.c.as_tuple()), "stratum": ext.stratum.value}
 
     if cmd == "expose":
         if t is None:
             t = boundary.angles_from_point(args.point, tol)
-        f = boundary.exposing_functional(t, tol)
+        f = boundary.exposing_functional(t)
         return {"functional": list(f.as_tuple())}
 
     if cmd == "model":

@@ -108,7 +108,6 @@ __all__ = [
     "dual_transform",
     "symmetry_group",
     "orbit",
-    "CHSH_SIGN_PATTERNS",
 ]
 
 
@@ -305,15 +304,6 @@ class TransformDirection(enum.Enum):
     FROM_DUAL = "from_dual"    # x -> 2·H·x
 
 
-# Sign patterns with an odd number of minus signs, ordered by the 4-bit
-# integer (b11 b12 b21 b22) where bit 1 means a minus sign.  Pattern 0001,
-# the first entry, is the standard ½(c11+c12+c21-c22) combination.
-CHSH_SIGN_PATTERNS = tuple(
-    tuple(-1 if (m >> (3 - j)) & 1 else 1 for j in range(4))
-    for m in (1, 2, 4, 7, 8, 11, 13, 14)
-)
-
-
 # ---------------------------------------------------------------------------
 # Column kernels
 # ---------------------------------------------------------------------------
@@ -454,8 +444,10 @@ def dual_polys(f: Functional) -> DualPolys:
 def chsh_values(c: Correlation) -> tuple[float, ...]:
     """The eight combinations ``½·Σ s_ij·c_ij`` over odd sign patterns.
 
-    Returned in the fixed order of :data:`CHSH_SIGN_PATTERNS`.  Classical
-    points have every value ≤ 1; cube points violate at most one.
+    Returned in the order of the patterns ``s11 s12 s21 s22`` (1 a minus
+    sign) 0001, 0010, 0100 and 0111, then their negations 1000, 1011, 1101
+    and 1110.  Classical points have every value ≤ 1; cube points violate
+    at most one.
     """
     halves = _odd_halves(*c.as_tuple())
     return halves + tuple(-v for v in reversed(halves))

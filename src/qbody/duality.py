@@ -337,16 +337,18 @@ def dual_completion(f: Functional,
 # The involutive self-map of the parameter tetrahedron
 # ---------------------------------------------------------------------------
 
-def phi_map(t: AngleTuple, tol: Tolerance = DEFAULT_TOLERANCE) -> AngleTuple:
+def phi_map(t: AngleTuple) -> AngleTuple:
     """Map exposed-point angles to the angles of the dual exposed point.
 
     Defined on the prototype tetrahedron T: alpha, beta, gamma in (0, π)
-    with alpha+beta+gamma in (0, π).  The image is the angle tuple of
-    ``2H·f`` where ``f`` is the exposing functional; arccos branches are
-    chosen to stay inside T, which makes the map an involution.
+    with alpha+beta+gamma in (0, π) and delta their negated sum within the
+    tuple's own ``t.eps``, which the image carries.  The image is the
+    angle tuple of ``2H·f`` where ``f`` is the exposing functional; arccos
+    branches are chosen to stay inside T, which makes the map an
+    involution.
     """
     alpha, beta, gamma, delta = t.as_tuple()
-    eps = tol.eps_angle
+    eps = t.eps
     inside = (0.0 < alpha < math.pi and 0.0 < beta < math.pi
               and 0.0 < gamma < math.pi
               and 0.0 < alpha + beta + gamma < math.pi)
@@ -355,7 +357,7 @@ def phi_map(t: AngleTuple, tol: Tolerance = DEFAULT_TOLERANCE) -> AngleTuple:
             "angles must satisfy alpha, beta, gamma, alpha+beta+gamma in (0, pi) "
             "with delta = -(alpha+beta+gamma)")
 
-    f = exposing_functional(t, tol)
+    f = exposing_functional(t)
     image = dual_transform(f.as_tuple(), TransformDirection.FROM_DUAL)
     if max(abs(v) for v in image) > 1.0 + 1e-9:
         raise ConsistencyError(f"dual image {image!r} left the cube")
@@ -364,7 +366,7 @@ def phi_map(t: AngleTuple, tol: Tolerance = DEFAULT_TOLERANCE) -> AngleTuple:
     total = a2 + b2 + g2
     if abs(total - d2) > 1e-8 or not total < math.pi:
         raise ConsistencyError("arccos branches do not close up inside T")
-    return AngleTuple(a2, b2, g2, -total)
+    return AngleTuple(a2, b2, g2, -total, eps=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -110,14 +110,18 @@ def _as_lists(x) -> list:
 
 @dataclass(frozen=True)
 class QuantumModel:
-    """State vector plus four commuting-pair observables on R^d."""
+    """State vector plus four commuting-pair observables on R^d, where
+    ``d`` is the length of ``psi``."""
 
     psi: Sequence[float]
     A1: Sequence[Sequence[float]]
     A2: Sequence[Sequence[float]]
     B1: Sequence[Sequence[float]]
     B2: Sequence[Sequence[float]]
-    d: int
+
+    @property
+    def d(self) -> int:
+        return len(self.psi)
 
     def observables(self) -> tuple:
         return (self.A1, self.A2, self.B1, self.B2)
@@ -158,7 +162,7 @@ class QuantumModel:
                 raise ValueError(f"model {name} must hold {d} rows")
             mats[name] = tuple(_json_floats(row, d, f"model {name} row")
                                for row in rows)
-        return cls(psi=_json_floats(data["psi"], d, "model psi"), d=d, **mats)
+        return cls(psi=_json_floats(data["psi"], d, "model psi"), **mats)
 
 
 @dataclass(frozen=True)
@@ -191,8 +195,7 @@ def build_model(t: AngleTuple) -> QuantumModel:
         A1=_kron(_reflection_rows(t.alpha), _EYE2),
         A2=_kron(_reflection_rows(-t.gamma), _EYE2),
         B1=_kron(_EYE2, _reflection_rows(math.pi)),
-        B2=_kron(_EYE2, _reflection_rows(t.alpha + t.beta + math.pi)),
-        d=4)
+        B2=_kron(_EYE2, _reflection_rows(t.alpha + t.beta + math.pi)))
 
 
 def correlations_of(m: QuantumModel) -> Correlation:
@@ -286,8 +289,6 @@ def _checked_rows(m: QuantumModel):
         psi = tuple(m.psi.tolist()) if hasattr(m.psi, "tolist") else m.psi
         obs = tuple(tuple(map(tuple, X.tolist())) if hasattr(X, "tolist")
                     else X for X in m.observables())
-        if len(psi) != d:
-            raise InvalidModel(f"psi has {len(psi)} entries, expected {d}")
         for name, X in zip(_OBSERVABLES, obs):
             if len(X) != d or any(len(row) != d for row in X):
                 raise InvalidModel(f"{name} is not {d}x{d}")
@@ -574,7 +575,7 @@ def clifford_model(gs: GramSystem) -> QuantumModel:
     A1, A2 = (_kron(contract(a), eye) for a in (gs.a1, gs.a2))
     B1, B2 = (_kron(eye, contract(b)) for b in (gs.b1, gs.b2))
     psi = tuple(x / math.sqrt(n) for row in eye for x in row)
-    return QuantumModel(psi=psi, A1=A1, A2=A2, B1=B1, B2=B2, d=n * n)
+    return QuantumModel(psi=psi, A1=A1, A2=A2, B1=B1, B2=B2)
 
 
 def mixture_model(models: Sequence[tuple[float, QuantumModel]]) -> QuantumModel:
@@ -588,8 +589,7 @@ def mixture_model(models: Sequence[tuple[float, QuantumModel]]) -> QuantumModel:
     if abs(sum(weights) - 1.0) > 1e-12:
         raise BadWeights(f"weights sum to {sum(weights)!r}, expected 1")
 
-    dims = [m.d for _, m in models]
-    d = sum(dims)
+    d = sum(m.d for _, m in models)
     psi = np.concatenate([math.sqrt(w) * np.asarray(m.psi, dtype=float)
                           for w, m in models])
 
@@ -603,6 +603,6 @@ def mixture_model(models: Sequence[tuple[float, QuantumModel]]) -> QuantumModel:
             pos += n
         return out
 
-    return QuantumModel(psi=psi, d=d, **{
+    return QuantumModel(psi=psi, **{
         name: direct_sum([getattr(m, name) for _, m in models])
         for name in _OBSERVABLES})

@@ -266,8 +266,6 @@ def checked_rows_reference(m: QuantumModel):
     psi = tuple(m.psi.tolist()) if hasattr(m.psi, "tolist") else m.psi
     obs = tuple(tuple(map(tuple, X.tolist())) if hasattr(X, "tolist") else X
                 for X in m.observables())
-    if len(psi) != d:
-        raise InvalidModel(f"psi has {len(psi)} entries, expected {d}")
     for name, X in zip(_OBSERVABLE_NAMES, obs):
         if len(X) != d or any(len(row) != d for row in X):
             raise InvalidModel(f"{name} is not {d}x{d}")
@@ -363,5 +361,5 @@ def validation_model(rng: np.random.Generator, family: str,
     mats.append(observable(basis() if rng.integers(0, 4) == 0 else q))
     psi = rng.normal(size=d)
     psi /= np.linalg.norm(psi)
-    return QuantumModel(psi=tuple(psi.tolist()), d=d,
+    return QuantumModel(psi=tuple(psi.tolist()),
                         **dict(zip(_OBSERVABLE_NAMES, map(_rows, mats))))

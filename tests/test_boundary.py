@@ -209,6 +209,22 @@ class TestExtremeFromAngles:
         with pytest.raises(AngleSumViolation):
             AngleTuple(0.5, 0.5, 0.5, 0.5)
 
+    def test_small_sine_product_answers_its_sign(self):
+        # every sine is above eps, the sine product is not: the sign of the
+        # product decides, as the face of the cosines does
+        t = AngleTuple(1e-3, 1e-3, 1e-3, -3e-3)
+        assert min(map(abs, t.sines())) > t.eps > abs(t.delta_product())
+        assert extreme_from_angles(t).stratum is Stratum.Q4
+        assert classify(t.cosines()) is Stratum.Q4
+
+    def test_stratum_decided_at_the_tuple_eps(self):
+        angles = (1e-3, 1e-3, 1e-3, -3e-3)
+        assert extreme_from_angles(
+            AngleTuple(*angles, eps=1e-13)).stratum is Stratum.Q4
+        # at 1e-2 every sine counts as a multiple of pi
+        assert extreme_from_angles(
+            AngleTuple(*angles, eps=1e-2)).stratum is Stratum.Q1
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, bad):
         # a NaN sum residual compares false with eps, so finiteness is
@@ -266,6 +282,11 @@ class TestExposingFunctional:
         expected = np.array([1, 1, 1, -1]) * SQRT2 / 4
         assert np.allclose(f.as_array(), expected, atol=1e-15)
         assert f.dot(CHSH_POINT) == pytest.approx(1.0, abs=1e-12)
+
+    def test_sines_bounded_at_the_tuple_eps(self):
+        # sin(pi/4) is below 0.9
+        with pytest.raises(DegenerateAngles, match="a sine vanishes"):
+            exposing_functional(AngleTuple(*CHSH_ANGLES, eps=0.9))
 
     def test_degenerate_sine_rejected(self):
         with pytest.raises(DegenerateAngles):

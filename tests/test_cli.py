@@ -73,6 +73,10 @@ class TestSubcommands:
         assert code == 0
         assert data == {"phi": 1.4142135623730951, "case": "quantum"}
 
+    def test_support_of_zero_functional(self, capsys):
+        assert main(["support", "--functional", "[0,0,0,0]"]) == 0
+        assert capsys.readouterr().out == '{"phi": 0.0, "case": "zero"}\n'
+
     def test_gauge(self, capsys):
         code, data = run_cli(capsys, "gauge", "--point", "[1,1,1,-1]")
         assert code == 0
@@ -508,6 +512,21 @@ class TestExitCodes:
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "qbody: error:" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--fix", "c11"], "--fix expects cij=VALUE",
+                     id="fix without value"),
+        pytest.param(["--fix", "c99=0"], "--fix coordinate must be one of",
+                     id="fix of no coordinate"),
+        pytest.param(["--normal", "[1,0,0,0]", "--offset", "abc"],
+                     "'abc' is not a finite number", id="offset not a number"),
+    ])
+    def test_malformed_slice_flag_is_two(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(["slice", *argv])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     def test_slice_beyond_float_range_is_two(self, capsys):
         # the dependent coordinate is 1/1e-320; the error names the slice,

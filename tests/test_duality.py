@@ -1,6 +1,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from qbody import (
     solve_completion,
     support,
 )
+from qbody import duality
 
 from helpers import (CHSH_ANGLES, CHSH_POINT, EVEN_VERTEX_TUPLES, SQRT2,
                      certificate_matrix, deep_interior_point,
@@ -88,6 +90,29 @@ class TestSupport:
         scaled = Functional(*(math.ldexp(v, j) for v in f))
         assert quantum_case(scaled).quantum_case
         assert support(scaled) == math.ldexp(support(Functional(*f)), j)
+
+    @pytest.mark.parametrize("entries", [(1.0, 1e-103, 1e-103, -1e-103),
+                                         (0.9, 2e-104, -3e-104, 5e-104)])
+    def test_subnormal_product_takes_exact_arithmetic(self, entries,
+                                                      monkeypatch):
+        # p of the scaled entries is subnormal, so quantum_case and the
+        # maximizer of dual_completion each fall back to Fractions
+        calls = []
+        exact = duality._exact
+        monkeypatch.setattr(duality, "_exact",
+                            lambda e: calls.append(e) or exact(e))
+        f = Functional(*entries)
+        assert quantum_case(f).quantum_case and len(calls) == 1
+        result = dual_completion(f)
+        assert len(calls) == 3
+        with mpmath.workdps(60):
+            a, b, c, d = map(mpmath.mpf, entries)
+            k = (a * d - b * c) * (a * b - c * d) * (a * c - b * d)
+            reference = float(mpmath.sqrt(k / (a * b * c * d)))
+        assert result.support == pytest.approx(reference, rel=1e-15, abs=0.0)
+        assert f.dot(result.maximizer) == pytest.approx(result.support,
+                                                        abs=1e-15)
+        assert member(result.maximizer, Oracle.SEMIALG).inside
 
     def test_tiny_nonclassical_functional(self):
         f = Functional(3e-90, 1e-90, 2e-90, -1e-90)
@@ -334,6 +359,16 @@ class TestPhiMap:
     def test_rejects_outside_domain(self):
         with pytest.raises(OutsideTetrahedron):
             phi_map(AngleTuple(2.0, 2.0, 1.0, -5.0))
+
+    def test_image_carries_the_tuple_eps(self):
+        # delta misses -(alpha+beta+gamma) by 3e-9: outside the default
+        # eps, inside eps = 1e-6
+        t = AngleTuple(0.3, 0.7, 0.5, -1.500000003, eps=1e-6)
+        image = phi_map(t)
+        assert image.eps == 1e-6
+        assert sum(image.as_tuple()) == 0.0
+        assert max(abs(a - b) for a, b in
+                   zip(t.as_tuple(), phi_map(image).as_tuple())) < 1e-8
 
 
 class TestNcycleResiduals:

@@ -32,7 +32,7 @@ from helpers import (CHSH_ANGLES, CHSH_POINT, SINGLET_PSI, VALIDATION_FAMILIES,
 def _scalar_model(values):
     mats = [np.array([[float(v)]]) for v in values]
     return QuantumModel(psi=np.array([1.0]), A1=mats[0], A2=mats[1],
-                        B1=mats[2], B2=mats[3], d=1)
+                        B1=mats[2], B2=mats[3])
 
 
 class TestBuildModel:
@@ -83,7 +83,7 @@ class TestCorrelationsOf:
 
     def test_invalid_model_rejected(self):
         bad = QuantumModel(psi=np.array([1.0, 1.0]), A1=np.eye(2),
-                           A2=np.eye(2), B1=np.eye(2), B2=np.eye(2), d=2)
+                           A2=np.eye(2), B1=np.eye(2), B2=np.eye(2))
         with pytest.raises(InvalidModel):
             correlations_of(bad)
 
@@ -91,7 +91,7 @@ class TestCorrelationsOf:
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
         sz = np.array([[1.0, 0.0], [0.0, -1.0]])
         bad = QuantumModel(psi=np.array([1.0, 0.0]), A1=sx, A2=sz,
-                           B1=sz, B2=sx, d=2)
+                           B1=sz, B2=sx)
         with pytest.raises(InvalidModel):
             correlations_of(bad)
 
@@ -280,8 +280,7 @@ def _array_model(t: AngleTuple) -> QuantumModel:
         A1=np.kron(reflection_matrix(t.alpha), eye2),
         A2=np.kron(reflection_matrix(-t.gamma), eye2),
         B1=np.kron(eye2, reflection_matrix(math.pi)),
-        B2=np.kron(eye2, reflection_matrix(t.alpha + t.beta + math.pi)),
-        d=4)
+        B2=np.kron(eye2, reflection_matrix(t.alpha + t.beta + math.pi)))
 
 
 def _stratum_angles(rng, n: int) -> list[AngleTuple]:
@@ -385,7 +384,7 @@ def _two_dim(psi=(1.0, 0.0), A1=((1.0, 0.0), (0.0, 1.0)), A2=None, B1=None,
              B2=None) -> QuantumModel:
     eye = ((1.0, 0.0), (0.0, 1.0))
     return QuantumModel(psi=psi, A1=A1, A2=A2 or eye, B1=B1 or eye,
-                        B2=B2 or eye, d=2)
+                        B2=B2 or eye)
 
 
 SX = ((0.0, 1.0), (1.0, 0.0))
@@ -438,7 +437,7 @@ class TestValidation:
                 for rows in (lambda X: tuple(map(tuple, X.tolist())),
                              np.ndarray.tolist):
                     model = QuantumModel(
-                        psi=(1.0,) + (0.0,) * (d - 1), d=d,
+                        psi=(1.0,) + (0.0,) * (d - 1),
                         **dict(zip(("A1", "A2", "B1", "B2"), map(rows, mats))))
                     with pytest.raises(InvalidModel,
                                        match="commutator norm") as err:
@@ -460,7 +459,7 @@ class TestValidation:
         A1 = mix.A1.copy()
         A1[3, 3] = entry
         bad = QuantumModel(psi=mix.psi, A1=A1, A2=mix.A2, B1=mix.B1,
-                           B2=mix.B2, d=mix.d)
+                           B2=mix.B2)
         for check in (QuantumModel.validate, correlations_of,
                       selftest_residuals):
             with pytest.raises(InvalidModel, match="finite"):
