@@ -449,8 +449,8 @@ def extreme_from_angles(t: AngleTuple) -> ExtremePoint:
     The stratum follows the sign of the sine product: negative gives an
     exposed extreme point (Q4), positive an interior point (Q6), and zero
     the lower strata by the number of angles that are multiples of π.
-    Both are decided at the tuple's own ``t.eps``, the tolerance its sum
-    was validated at when it was built.
+    "Zero" and "multiple" are judged at the tuple's own ``t.eps``, the
+    tolerance its sum was validated at.
     """
     eps = t.eps
     point = t.cosines()
