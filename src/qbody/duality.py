@@ -357,16 +357,31 @@ def phi_map(t: AngleTuple) -> AngleTuple:
             "angles must satisfy alpha, beta, gamma, alpha+beta+gamma in (0, pi) "
             "with delta = -(alpha+beta+gamma)")
 
-    f = exposing_functional(t)
-    image = dual_transform(f.as_tuple(), TransformDirection.FROM_DUAL)
-    if max(abs(v) for v in image) > 1.0 + 1e-9:
-        raise ConsistencyError(f"dual image {image!r} left the cube")
-    clamped = [min(1.0, max(-1.0, v)) for v in image]
-    a2, b2, g2, d2 = (math.acos(v) for v in clamped)
+    image = _dual_image(t)
+    # delta may miss -(alpha+beta+gamma) by up to eps, and the image moves
+    # with it; the checks run on the image of the tuple with delta
+    # re-derived, so that their bounds cover arithmetic alone
+    exact = -(alpha + beta + gamma)
+    checked = image if delta == exact else _dual_image(
+        AngleTuple(alpha, beta, gamma, exact, eps=eps))
+    if max(abs(v) for v in checked) > 1.0 + 1e-9:
+        raise ConsistencyError(f"dual image {checked!r} left the cube")
+    a2, b2, g2, d2 = _arccos(checked)
     total = a2 + b2 + g2
     if abs(total - d2) > 1e-8 or not total < math.pi:
         raise ConsistencyError("arccos branches do not close up inside T")
-    return AngleTuple(a2, b2, g2, -total, eps=eps)
+    a2, b2, g2, _ = _arccos(image)
+    return AngleTuple(a2, b2, g2, -(a2 + b2 + g2), eps=eps)
+
+
+def _dual_image(t: AngleTuple) -> tuple[float, ...]:
+    """``2H·f`` for the exposing functional ``f`` of ``t``."""
+    f = exposing_functional(t)
+    return dual_transform(f.as_tuple(), TransformDirection.FROM_DUAL)
+
+
+def _arccos(image: tuple[float, ...]) -> list[float]:
+    return [math.acos(min(1.0, max(-1.0, v))) for v in image]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,19 @@ Results are therefore a deterministic function of ``(seed, samples)``
 alone.  Rejection samplers consume whole blocks until enough points are
 accepted and then truncate, which keeps them inside the same contract.
 
+:func:`mc_volume` counts the hits of each block, and when there are two
+or more blocks it counts them on two threads, the caller and one helper,
+which take block indices in turn from a shared counter.  Each block is
+drawn from its own stream whichever thread takes it, and the total is a
+sum of integer counts, so the estimate is still a function of
+``(seed, samples)`` alone.  The counts decide membership with fewer
+operations than the margins of :mod:`qbody.membership` and agree with
+them bit for bit: cube draws lie in ``[-1, 1)``, so the cube slack is
+``≥ 0`` and no kernel meets a NaN; a draw is in Q exactly when ``g ≥ 0``
+or ``h ≥ 0``, so ``h`` is evaluated only where ``g < 0``; and in CL
+exactly when the largest odd half ``m`` has ``m ≤ 1``, as its margin
+``fl(1 - m) ≥ 0`` does.
+
 Volume facts this module reproduces as Monte-Carlo fractions of the
 ambient cube:
 
@@ -24,14 +37,17 @@ strata so every emitted point classifies unambiguously.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence, TextIO
 
 from .core import (_REL_TOL, Correlation, ConsistencyError, InvalidSlice,
                    Tolerance, DEFAULT_TOLERANCE, _g, _h, _h_squared,
-                   primal_polys, symmetry_group)
-from .membership import Oracle, _by_blocks, classical_margin_batch, margin_batch
+                   _odd_halves, primal_polys, symmetry_group)
+from .membership import (Oracle, _by_blocks, _max_abs, classical_margin_batch,
+                         margin_batch)
 from .boundary import _FACES, _face
 
 __all__ = [
@@ -98,23 +114,86 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
+def _odd_max(a, b, c, d, xp):
+    return _max_abs(*_odd_halves(a, b, c, d), xp)
+
+
+def _count_inside(body: Body, pts: np.ndarray) -> int:
+    """Number of rows of ``pts``, draws in the ambient cube, inside
+    ``body``; see the module docstring for why this equals the count of
+    nonnegative margins."""
+    import numpy as np
+    if body is Body.Q:
+        g = _by_blocks(_g, pts)
+        undecided = g < 0.0
+        return (pts.shape[0] - int(undecided.sum())
+                + int((_by_blocks(_h, pts[undecided]) >= 0.0).sum()))
+    if body is Body.CL:
+        return int((_by_blocks(_odd_max, pts, np) <= 1.0).sum())
+    # g(x, y, z, 1) = 1 - x² - y² - z² + 2xyz
+    return int((_by_blocks(_g, pts, 1.0) >= 0.0).sum())
+
+
+def _sum_over_blocks(count, blocks: int) -> int:
+    """``sum(count(b) for b in range(blocks))``, on two threads if there
+    are two or more blocks.
+
+    The caller and one helper thread take block indices from one shared
+    counter until they run out; the draws and the numpy kernels release
+    the GIL.  ``count`` must call no public qbody function, since the
+    tracer of ``perfbench`` keeps one span stack for all threads.  The
+    helper is always joined before this returns, and an exception it
+    raised is raised again here.  ``np.errstate``, which ``_by_blocks``
+    sets, may be shared between threads on numpy < 2.0; cube draws raise
+    no floating-point flags, so that cannot change a count, and it needs
+    no lock.
+    """
+    if blocks == 1:
+        return count(0)
+    order = itertools.count()
+    helper_total: list[int] = []
+    failed: list[BaseException] = []
+
+    def work() -> int:
+        total = 0
+        # next() on an itertools.count is one C call under the GIL, so
+        # no index is handed out twice
+        for block in order:
+            if block >= blocks or failed:
+                break
+            total += count(block)
+        return total
+
+    def helper() -> None:
+        try:
+            helper_total.append(work())
+        except BaseException as exc:
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper, name="qbody-mc-volume")
+    thread.start()
+    try:
+        total = work()
+    except BaseException as exc:
+        failed.append(exc)
+        raise
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return total + helper_total[0]
+
+
 def mc_volume(body: Body, cfg: SamplerConfig) -> VolumeEstimate:
     """Fraction of uniform ambient-cube samples that land in the body."""
     dim = 3 if body is Body.ELLIPTOPE3 else 4
-    hits = 0
-    remaining = cfg.samples
-    block = 0
-    while remaining > 0:
-        n = min(_BLOCK, remaining)
+
+    def count(block: int) -> int:
+        n = min(_BLOCK, cfg.samples - block * _BLOCK)
         pts = _block_rng(cfg.seed, block).uniform(-1.0, 1.0, size=(n, dim))
-        if body is Body.Q:
-            hits += int((margin_batch(pts, Oracle.SEMIALG) >= 0.0).sum())
-        elif body is Body.CL:
-            hits += int((classical_margin_batch(pts) >= 0.0).sum())
-        else:  # g(x, y, z, 1) = 1 - x² - y² - z² + 2xyz
-            hits += int((_by_blocks(_g, pts, 1.0) >= 0.0).sum())
-        remaining -= n
-        block += 1
+        return _count_inside(body, pts)
+
+    hits = _sum_over_blocks(count, -(-cfg.samples // _BLOCK))
     fraction = hits / cfg.samples
     stderr = math.sqrt(fraction * (1.0 - fraction) / cfg.samples)
     return VolumeEstimate(fraction=fraction, stderr=stderr)

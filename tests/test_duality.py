@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbody import (
@@ -361,14 +361,33 @@ class TestPhiMap:
             phi_map(AngleTuple(2.0, 2.0, 1.0, -5.0))
 
     def test_image_carries_the_tuple_eps(self):
-        # delta misses -(alpha+beta+gamma) by 3e-9: outside the default
-        # eps, inside eps = 1e-6
-        t = AngleTuple(0.3, 0.7, 0.5, -1.500000003, eps=1e-6)
-        image = phi_map(t)
-        assert image.eps == 1e-6
+        # delta misses -(alpha+beta+gamma) by 3e-9 and by 1e-7: outside the
+        # default eps, inside eps = 1e-6; the image of a tuple whose delta
+        # is off moves by about as much, and the round trip with it
+        for t, bound in ((AngleTuple(0.3, 0.7, 0.5, -1.500000003, eps=1e-6),
+                          1e-8),
+                         (AngleTuple(0.3, 0.4, 0.5, -1.1999999, eps=1e-6),
+                          1e-6)):
+            image = phi_map(t)
+            assert image.eps == 1e-6
+            assert sum(image.as_tuple()) == 0.0
+            assert max(abs(a - b) for a, b in
+                       zip(t.as_tuple(), phi_map(image).as_tuple())) < bound
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.tuples(*[st.floats(0.05, 3.0)] * 3).filter(
+               lambda abc: sum(abc) < math.pi - 0.05),
+           st.sampled_from([1e-9, 1e-8, 1e-7, 1e-6]),
+           st.floats(-1.0, 1.0))
+    def test_admitted_delta_slack_closes_up(self, abc, eps, offset):
+        # every tuple the domain check admits maps without ConsistencyError
+        alpha, beta, gamma = abc
+        delta = -(alpha + beta + gamma) + offset * eps
+        assume(abs(delta + (alpha + beta + gamma)) <= eps)
+        image = phi_map(AngleTuple(alpha, beta, gamma, delta, eps=eps))
+        assert image.eps == eps
         assert sum(image.as_tuple()) == 0.0
-        assert max(abs(a - b) for a, b in
-                   zip(t.as_tuple(), phi_map(image).as_tuple())) < 1e-8
 
 
 class TestNcycleResiduals:

@@ -1,5 +1,7 @@
 import io
 import math
+import sys
+import threading
 from itertools import product
 
 import numpy as np
@@ -24,11 +26,14 @@ from qbody import (
     sample,
     slice_grid,
 )
-from qbody.membership import classical_margin_batch
+from qbody import measures
+from qbody.core import _g
+from qbody.membership import classical_margin_batch, margin_batch
 from qbody.measures import (
     EXACT_CL_FRACTION,
     EXACT_ELLIPTOPE_FRACTION,
     EXACT_Q_FRACTION,
+    VolumeEstimate,
     write_csv,
 )
 
@@ -63,6 +68,108 @@ class TestMcVolume:
             SamplerConfig(seed=-1, samples=10)
         with pytest.raises(ValueError):
             SamplerConfig(seed=0, samples=0)
+
+
+def _volume_reference(body: Body, cfg: SamplerConfig) -> VolumeEstimate:
+    """``mc_volume`` as serial margins: each 65,536-draw block from its own
+    stream in turn, every nonnegative margin a hit."""
+    dim = 3 if body is Body.ELLIPTOPE3 else 4
+    hits = 0
+    for block, start in enumerate(range(0, cfg.samples, 65536)):
+        n = min(65536, cfg.samples - start)
+        pts = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            cfg.seed, spawn_key=(block,)))).uniform(-1.0, 1.0, size=(n, dim))
+        if body is Body.Q:
+            margin = margin_batch(pts, Oracle.SEMIALG)
+        elif body is Body.CL:
+            margin = classical_margin_batch(pts)
+        else:
+            margin = _g(*pts.T, 1.0)
+        hits += int((margin >= 0.0).sum())
+    fraction = hits / cfg.samples
+    return VolumeEstimate(
+        fraction, math.sqrt(fraction * (1.0 - fraction) / cfg.samples))
+
+
+class TestMcVolumeCounts:
+    @pytest.mark.parametrize("samples", [1, 65535, 65536, 65537,
+                                         3 * 65536 + 5])
+    @pytest.mark.parametrize("body", list(Body), ids=lambda b: b.value)
+    def test_equals_serial_margins(self, body, samples):
+        for seed in (0, 7, 2 ** 64 - 1):
+            cfg = SamplerConfig(seed=seed, samples=samples)
+            got, want = mc_volume(body, cfg), _volume_reference(body, cfg)
+            assert got.fraction == want.fraction
+            assert got.stderr == want.stderr
+
+    def _raises_and_joins(self, monkeypatch, fails):
+        """``mc_volume`` on 3 blocks with ``_count_inside`` raising where
+        ``fails(pts)`` holds: the caller gets that exception, and no
+        thread outlives the call."""
+        count_inside = measures._count_inside
+        error = ZeroDivisionError("injected")
+
+        def failing(body, pts):
+            if fails(pts):
+                raise error
+            return count_inside(body, pts)
+
+        monkeypatch.setattr(measures, "_count_inside", failing)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError) as raised:
+            mc_volume(Body.Q, SamplerConfig(seed=3, samples=3 * 65536))
+        assert raised.value is error
+        assert threading.active_count() == before
+
+    def test_failing_block_reaches_caller(self, monkeypatch):
+        block_one = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            3, spawn_key=(1,)))).uniform(-1.0, 1.0, size=(65536, 4))
+        self._raises_and_joins(
+            monkeypatch, lambda pts: np.array_equal(pts, block_one))
+
+    def test_failing_helper_reaches_caller(self, monkeypatch):
+        # the caller's blocks wait until the helper has taken one and failed
+        helper_failed = threading.Event()
+
+        def fails(pts):
+            if threading.current_thread() is threading.main_thread():
+                helper_failed.wait(10.0)
+                return False
+            helper_failed.set()
+            return True
+
+        self._raises_and_joins(monkeypatch, fails)
+
+    def test_concurrent_callers_under_fast_switching(self):
+        # six callers and their helpers on two cores, switching every
+        # microsecond: a block index handed out twice or lost, or counts
+        # mixed between calls, changes some caller's result
+        cfg = SamplerConfig(seed=11, samples=5 * 65536 + 3)
+        want = {body: _volume_reference(body, cfg) for body in Body}
+        got = []
+        callers = [threading.Thread(
+            target=lambda body=body: got.append((body, mc_volume(body, cfg))))
+            for body in list(Body) * 2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert len(got) == len(callers)
+        assert all(estimate == want[body] for body, estimate in got)
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        cfg = SamplerConfig(seed=3, samples=65536)
+        assert mc_volume(Body.CL, cfg) == _volume_reference(Body.CL, cfg)
 
 
 class TestExactVolume:
