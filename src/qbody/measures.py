@@ -45,8 +45,8 @@ from typing import Mapping, Sequence, TextIO
 
 from .core import (_REL_TOL, Correlation, ConsistencyError, InvalidSlice,
                    Tolerance, DEFAULT_TOLERANCE, _g, _h, _h_squared,
-                   _odd_halves, primal_polys, symmetry_group)
-from .membership import (Oracle, _by_blocks, _max_abs, classical_margin_batch,
+                   primal_polys, symmetry_group)
+from .membership import (Oracle, _by_blocks, _odd_max, classical_margin_batch,
                          margin_batch)
 from .boundary import _FACES, _face
 
@@ -112,10 +112,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     import numpy as np
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
-
-
-def _odd_max(a, b, c, d, xp):
-    return _max_abs(*_odd_halves(a, b, c, d), xp)
 
 
 def _count_inside(body: Body, pts: np.ndarray) -> int:

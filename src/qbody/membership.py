@@ -112,9 +112,14 @@ def _entry_interval(a, b, c, d, xp):
     return xp.maximum(ac - s1, bd - s2), xp.minimum(ac + s1, bd + s2)
 
 
+def _odd_max(a, b, c, d, xp):
+    """The largest of the eight odd-signed CHSH halves."""
+    return _max_abs(*_odd_halves(a, b, c, d), xp)
+
+
 def _classical(a, b, c, d, xp):
-    odd = _max_abs(*_odd_halves(a, b, c, d), xp)
-    return xp.minimum(_cube_slack(a, b, c, d, xp), 1.0 - odd)
+    return xp.minimum(_cube_slack(a, b, c, d, xp),
+                      1.0 - _odd_max(a, b, c, d, xp))
 
 
 def _semialg(a, b, c, d, xp):
