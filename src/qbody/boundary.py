@@ -65,10 +65,9 @@ from .core import (
     Tolerance,
     _Floats,
     _check_finite,
-    _odd_halves,
 )
 from .membership import (_completion_slack, _entry_interval,
-                         _inverse_pushout, _max_abs)
+                         _inverse_pushout, _max_abs, _odd_max)
 
 __all__ = [
     "AngleTuple",
@@ -394,7 +393,7 @@ def _face(a, b, c, d, eps, xp):
     :mod:`qbody.core`).
     """
     x = [_inverse_pushout(v, xp) for v in (a, b, c, d)]
-    odd = _max_abs(*_odd_halves(*x), xp)
+    odd = _odd_max(*x, xp)
     cube = sum(abs(v) >= 1.0 - eps for v in x)
     face = 2 * xp.minimum(cube, 3) + (odd >= 1.0 - eps)
     outside = (_max_abs(a, b, c, d, xp) > 1.0 + eps) | (odd > 1.0 + eps)

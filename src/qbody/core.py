@@ -318,6 +318,9 @@ class TransformDirection(enum.Enum):
 # Batch callers go through ``membership._by_blocks``, which evaluates a
 # kernel a few thousand rows at a time: a kernel makes a few dozen
 # temporaries, and on block-sized columns they stay in the core's cache.
+# A kernel accumulates in place (``s = a * a; s += b * b``, one quantity
+# per line) only into a temporary it created, never into an argument; on
+# a float ``s += t`` is ``s = s + t``, so both paths round the same way.
 
 class _Floats:
     """The five numpy functions the kernels use, over builtins and math."""
@@ -330,20 +333,26 @@ class _Floats:
 
 
 def _g(c11, c12, c21, c22):
-    return 2.0 - (c11 * c11 + c12 * c12 + c21 * c21 + c22 * c22) \
-        + 2.0 * c11 * c12 * c21 * c22
+    g = c11 * c11; g += c12 * c12; g += c21 * c21; g += c22 * c22
+    prod = 2.0 * c11; prod *= c12; prod *= c21; prod *= c22
+    g = 2.0 - g; g += prod
+    return g
 
 
 def _h(c11, c12, c21, c22):
     """``h`` in the degree-6 product form."""
-    sextic = 4.0 * ((c11 * c22 - c12 * c21)
-                    * (c11 * c21 - c12 * c22)
-                    * (c11 * c12 - c21 * c22))
-    quartic = ((c11 + c12 - c21 - c22)
-               * (c11 - c12 + c21 - c22)
-               * (c11 - c12 - c21 + c22)
-               * (c11 + c12 + c21 + c22))
-    return sextic - quartic
+    sextic = c11 * c22; sextic -= c12 * c21
+    factor = c11 * c21; factor -= c12 * c22; sextic *= factor
+    factor = c11 * c12; factor -= c21 * c22; sextic *= factor
+    sextic *= 4.0
+    # the even CHSH sums c11 ± c12 ± c21 ± c22, sharing c11 ± c12
+    plus, minus = c11 + c12, c11 - c12
+    quartic = plus - c21; quartic -= c22
+    factor = minus + c21; factor -= c22; quartic *= factor
+    minus -= c21; minus += c22; quartic *= minus
+    plus += c21; plus += c22; quartic *= plus
+    sextic -= quartic
+    return sextic
 
 
 def _h_squared(c11: float, c12: float, c21: float, c22: float) -> float:
@@ -377,14 +386,17 @@ def _two_h(t0, t1, t2, t3):
     return (s02 + s13, s02 - s13, d02 + d13, d02 - d13)
 
 
-def _odd_halves(c11, c12, c21, c22):
-    """``½·Σ s_ij·c_ij`` for the odd patterns 0001, 0010, 0100 and 0111.
-
-    The other four odd patterns are the negations of these, in reverse
-    order; negation is exact, so this is all eight combinations.
-    """
-    return (0.5 * (c11 + c12 + c21 - c22), 0.5 * (c11 + c12 - c21 + c22),
-            0.5 * (c11 - c12 + c21 + c22), 0.5 * (c11 - c12 - c21 - c22))
+def _odd_sums(c11, c12, c21, c22):
+    """``Σ s_ij·c_ij`` for the odd patterns 0001, 0010, 0100 and 0111, twice
+    the CHSH halves; ``x ↦ fl(0.5·x)`` is monotone, so the halving may
+    follow a maximum.  The other four odd patterns are the negations of
+    these, in reverse order; negation is exact."""
+    plus, minus = c11 + c12, c11 - c12
+    s0001 = plus + c21; s0001 -= c22
+    s0100 = minus + c21; s0100 += c22
+    plus -= c21; plus += c22
+    minus -= c21; minus -= c22
+    return s0001, plus, s0100, minus
 
 
 _REL_TOL = 1e-9  # the bound of the polynomial cross-checks below
@@ -449,8 +461,9 @@ def chsh_values(c: Correlation) -> tuple[float, ...]:
     and 1110.  Classical points have every value ≤ 1; cube points violate
     at most one.
     """
-    halves = _odd_halves(*c.as_tuple())
-    return halves + tuple(-v for v in reversed(halves))
+    s = _odd_sums(*c.as_tuple())
+    h0, h1, h2, h3 = 0.5 * s[0], 0.5 * s[1], 0.5 * s[2], 0.5 * s[3]
+    return h0, h1, h2, h3, -h3, -h2, -h1, -h0
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ or ``h ≥ 0``, so ``h`` is evaluated only where ``g < 0``; and in CL
 exactly when the largest odd half ``m`` has ``m ≤ 1``, as its margin
 ``fl(1 - m) ≥ 0`` does.
 
+Cube draws come from :func:`_cube_draws`, ``random`` mapped in place by
+``*= 2; -= 1``: the bits and generator state of ``uniform(-1, 1)``.
+
 Volume facts this module reproduces as Monte-Carlo fractions of the
 ambient cube:
 
@@ -114,6 +117,12 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
+def _cube_draws(rng: np.random.Generator, shape) -> np.ndarray:
+    """``rng.uniform(-1.0, 1.0, size=shape)``, bit for bit, in place."""
+    pts = rng.random(shape); pts *= 2.0; pts -= 1.0
+    return pts
+
+
 def _count_inside(body: Body, pts: np.ndarray) -> int:
     """Number of rows of ``pts``, draws in the ambient cube, inside
     ``body``; see the module docstring for why this equals the count of
@@ -186,7 +195,7 @@ def mc_volume(body: Body, cfg: SamplerConfig) -> VolumeEstimate:
 
     def count(block: int) -> int:
         n = min(_BLOCK, cfg.samples - block * _BLOCK)
-        pts = _block_rng(cfg.seed, block).uniform(-1.0, 1.0, size=(n, dim))
+        pts = _cube_draws(_block_rng(cfg.seed, block), (n, dim))
         return _count_inside(body, pts)
 
     hits = _sum_over_blocks(count, -(-cfg.samples // _BLOCK))
@@ -222,22 +231,23 @@ def _sample_blocks(cfg: SamplerConfig, accept) -> np.ndarray:
 
 
 def _accept_cube(rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, size=(_BLOCK, 4))
+    return _cube_draws(rng, (_BLOCK, 4))
 
 
 def _accept_cl(rng: np.random.Generator) -> np.ndarray:
-    pts = rng.uniform(-1.0, 1.0, size=(_BLOCK, 4))
+    pts = _cube_draws(rng, (_BLOCK, 4))
     return pts[classical_margin_batch(pts) >= 0.0]
 
 
 def _accept_q_interior(rng: np.random.Generator) -> np.ndarray:
-    pts = rng.uniform(-1.0, 1.0, size=(_BLOCK, 4))
+    pts = _cube_draws(rng, (_BLOCK, 4))
     return pts[margin_batch(pts, Oracle.SEMIALG) > 0.0]
 
 
 def _accept_q4(rng: np.random.Generator) -> np.ndarray:
     import numpy as np
-    angles = rng.uniform(0.0, math.pi, size=(_BLOCK, 3))
+    angles = rng.random((_BLOCK, 3))
+    angles *= math.pi  # the bits of uniform(0, π), which adds 0 to π·u
     total = angles.sum(axis=1)
     lo, hi = _ANGLE_COLLAR, math.pi - _ANGLE_COLLAR
     keep = ((angles > lo).all(axis=1) & (angles < hi).all(axis=1)
@@ -254,7 +264,7 @@ def _accept_q4(rng: np.random.Generator) -> np.ndarray:
 
 def _accept_q5(rng: np.random.Generator) -> np.ndarray:
     import numpy as np
-    coords = rng.uniform(-1.0, 1.0, size=(_BLOCK, 3))
+    coords = _cube_draws(rng, (_BLOCK, 3))
     facets = rng.integers(0, 8, size=_BLOCK)
     axis = facets // 2
     sign = np.where(facets % 2 == 0, 1.0, -1.0)

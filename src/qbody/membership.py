@@ -43,7 +43,7 @@ from .core import (
     _Floats,
     _g,
     _h,
-    _odd_halves,
+    _odd_sums,
 )
 
 __all__ = [
@@ -98,7 +98,8 @@ def _cube_slack(a, b, c, d, xp):
 
 def _inverse_pushout(v, xp):
     """``(2/π)·asin(v)`` on the coordinate clamped to ``[-1, 1]``."""
-    return (2.0 / math.pi) * xp.arcsin(xp.clip(v, -1.0, 1.0))
+    x = xp.arcsin(xp.clip(v, -1.0, 1.0)); x *= 2.0 / math.pi
+    return x
 
 
 def _entry_interval(a, b, c, d, xp):
@@ -106,15 +107,18 @@ def _entry_interval(a, b, c, d, xp):
     entry ``u`` of the completion of ``(a, b, c, d)`` keeps the parabolas
     ``(1 - a²)(1 - c²) - (u - a·c)²`` and ``(1 - b²)(1 - d²) - (u - b·d)²``
     nonnegative; ``(a, c, b, d)`` gives the interval of ``v``."""
-    ac, bd = a * c, b * d
-    s1 = xp.sqrt(xp.maximum((1.0 - a * a) * (1.0 - c * c), 0.0))
-    s2 = xp.sqrt(xp.maximum((1.0 - b * b) * (1.0 - d * d), 0.0))
-    return xp.maximum(ac - s1, bd - s2), xp.minimum(ac + s1, bd + s2)
+    s1 = 1.0 - a * a; s1 *= 1.0 - c * c; s1 = xp.sqrt(xp.maximum(s1, 0.0))
+    s2 = 1.0 - b * b; s2 *= 1.0 - d * d; s2 = xp.sqrt(xp.maximum(s2, 0.0))
+    lo1, lo2 = a * c, b * d
+    hi1, hi2 = lo1 + s1, lo2 + s2
+    lo1 -= s1; lo2 -= s2
+    return xp.maximum(lo1, lo2), xp.minimum(hi1, hi2)
 
 
 def _odd_max(a, b, c, d, xp):
-    """The largest of the eight odd-signed CHSH halves."""
-    return _max_abs(*_odd_halves(a, b, c, d), xp)
+    """The largest of the eight odd-signed CHSH halves, scaled once."""
+    m = _max_abs(*_odd_sums(a, b, c, d), xp); m *= 0.5
+    return m
 
 
 def _classical(a, b, c, d, xp):
@@ -149,15 +153,19 @@ def _completion(a, b, c, d, xp):
 
 
 def _timo(a, b, c, d, xp):
-    prod = (1.0 - a * a) * (1.0 - b * b) * (1.0 - c * c) * (1.0 - d * d)
-    return xp.minimum(_cube_slack(a, b, c, d, xp),
-                      _g(a, b, c, d) + 2.0 * xp.sqrt(xp.maximum(prod, 0.0)))
+    prod = 1.0 - a * a; prod *= 1.0 - b * b
+    prod *= 1.0 - c * c; prod *= 1.0 - d * d
+    root = xp.sqrt(xp.maximum(prod, 0.0)); root *= 2.0
+    g = _g(a, b, c, d); g += root
+    return xp.minimum(_cube_slack(a, b, c, d, xp), g)
 
 
 def _landau(a, b, c, d, xp):
-    r1 = xp.maximum((1.0 - a * a) * (1.0 - b * b), 0.0)
-    r2 = xp.maximum((1.0 - c * c) * (1.0 - d * d), 0.0)
-    slack = xp.sqrt(r1) + xp.sqrt(r2) - abs(a * b - c * d)
+    r1 = 1.0 - a * a; r1 *= 1.0 - b * b
+    r2 = 1.0 - c * c; r2 *= 1.0 - d * d
+    slack = xp.sqrt(xp.maximum(r1, 0.0))
+    slack += xp.sqrt(xp.maximum(r2, 0.0))
+    cross = a * b; cross -= c * d; slack -= abs(cross)
     return xp.minimum(_cube_slack(a, b, c, d, xp), slack)
 
 
@@ -228,7 +236,8 @@ def member(c: Correlation, oracle: Oracle = Oracle.SEMIALG,
     All oracles agree exactly as sets; floating-point verdicts may differ
     within ``tol.eps_boundary`` of the boundary.  Only ``COMPLETION``
     reads ``tol``; the other four decide by ``margin ≥ 0`` (whether they
-    should honour the band is ROADMAP item 4, still open).
+    should honour the band is the oracle-tolerance decision of ROADMAP
+    item 3, still open).
 
     ``COMPLETION`` is inside down to a margin of ``-tol.eps_boundary``, as
     :func:`qbody.boundary.solve_completion` is feasible.  Its sign must match
@@ -262,23 +271,27 @@ def _as_points(points: np.ndarray) -> np.ndarray:
 
 # Rows per block: a kernel's temporaries on this many rows are 64 KB each
 # and stay in the core's cache; on whole 65,536-row columns they stream
-# through memory.  8192 measured fastest on a core with 2 MiB of L2, 4096
-# about as fast.
+# through memory.  With the in-place kernels, on a core with 2 MiB of L2,
+# 4096 rows made a round of batch margins and volumes 16-25% slower than
+# 8192, and 16384 made margin_batch 1.7-2.3x slower: glibc malloc maps or
+# trims 128 KB temporaries, which then page-fault over 1,000 times a call.
 _BLOCK_ROWS = 8192
 
 
 def _by_blocks(kernel, pts: np.ndarray, *args) -> np.ndarray:
     """``kernel(*pts.T, *args)`` evaluated ``_BLOCK_ROWS`` rows at a time.
 
-    The kernels are elementwise, so the result is bit-identical to one
-    call on the whole array.  Overflow is silent, as on the scalar path.
+    Each block's columns are passed as contiguous copies, since a kernel
+    reads each column several times.  The kernels are elementwise, so the
+    result is bit-identical to one call on the whole array.  Overflow is
+    silent, as on the scalar path.
     """
     import numpy as np
     out = np.empty(pts.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, pts.shape[0], _BLOCK_ROWS):
             out[start:start + _BLOCK_ROWS] = \
-                kernel(*pts[start:start + _BLOCK_ROWS].T, *args)
+                kernel(*pts[start:start + _BLOCK_ROWS].T.copy(), *args)
     return out
 
 
