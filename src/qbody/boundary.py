@@ -67,7 +67,7 @@ from .core import (
     _check_finite,
 )
 from .membership import (_completion_slack, _entry_interval,
-                         _inverse_pushout, _max_abs, _odd_max)
+                         _inverse_pushout, _max_abs, _odd_max, _unit_gaps)
 
 __all__ = [
     "AngleTuple",
@@ -354,10 +354,12 @@ def solve_completion(c: Correlation,
     c11, c12, c21, c22 = c.as_tuple()
     eps = tol.eps_boundary
 
-    lu, ru = _entry_interval(c11, c12, c21, c22, _Floats)
-    lv, rv = _entry_interval(c11, c21, c12, c22, _Floats)
+    gaps = g11, g12, g21, g22 = _unit_gaps(c11, c12, c21, c22)
+    lu, ru = _entry_interval(c11, c12, c21, c22, _Floats, gaps)
+    lv, rv = _entry_interval(c11, c21, c12, c22, _Floats,
+                             (g11, g21, g12, g22))
 
-    feasible = _completion_slack(c11, c12, c21, c22, lu, ru, _Floats) >= -eps
+    feasible = _completion_slack(gaps, lu, ru, _Floats) >= -eps
 
     u = min(1.0, max(-1.0, 0.5 * (lu + ru)))
     if 1.0 - u * u > 1e-12:

@@ -102,13 +102,22 @@ def _inverse_pushout(v, xp):
     return x
 
 
-def _entry_interval(a, b, c, d, xp):
+def _unit_gaps(a, b, c, d):
+    """``(1 - a², 1 - b², 1 - c², 1 - d²)``: the four 2x2 diagonal minors
+    of the completion, which the parabolas multiply in pairs.  Callers form
+    them once and share them, so no kernel may update one in place."""
+    return 1.0 - a * a, 1.0 - b * b, 1.0 - c * c, 1.0 - d * d
+
+
+def _entry_interval(a, b, c, d, xp, gaps=None):
     """The interval ``(lo, hi)``, empty if ``lo > hi``, where the free
     entry ``u`` of the completion of ``(a, b, c, d)`` keeps the parabolas
     ``(1 - a²)(1 - c²) - (u - a·c)²`` and ``(1 - b²)(1 - d²) - (u - b·d)²``
-    nonnegative; ``(a, c, b, d)`` gives the interval of ``v``."""
-    s1 = 1.0 - a * a; s1 *= 1.0 - c * c; s1 = xp.sqrt(xp.maximum(s1, 0.0))
-    s2 = 1.0 - b * b; s2 *= 1.0 - d * d; s2 = xp.sqrt(xp.maximum(s2, 0.0))
+    nonnegative; ``(a, c, b, d)`` gives the interval of ``v``.  ``gaps``
+    is ``_unit_gaps(a, b, c, d)`` when the caller has formed it."""
+    ga, gb, gc, gd = _unit_gaps(a, b, c, d) if gaps is None else gaps
+    s1 = ga * gc; s1 = xp.sqrt(xp.maximum(s1, 0.0))
+    s2 = gb * gd; s2 = xp.sqrt(xp.maximum(s2, 0.0))
     lo1, lo2 = a * c, b * d
     hi1, hi2 = lo1 + s1, lo2 + s2
     lo1 -= s1; lo2 -= s2
@@ -138,18 +147,19 @@ def _pushout(a, b, c, d, xp):
     return xp.minimum(_cube_slack(a, b, c, d, xp), _classical(*inv, xp))
 
 
-def _completion_slack(a, b, c, d, lo, hi, xp):
+def _completion_slack(gaps, lo, hi, xp):
     # Positive-semidefinite completability reduces to the intersection of
     # the nonnegativity intervals of two downward parabolas in the free
     # entry u, ``(lo, hi)`` from _entry_interval, plus the four 2x2 diagonal
-    # minors (the cube, quadratically).
-    quad = xp.minimum(xp.minimum(1.0 - a * a, 1.0 - b * b),
-                      xp.minimum(1.0 - c * c, 1.0 - d * d))
+    # minors ``gaps`` (the cube, quadratically).
+    ga, gb, gc, gd = gaps
+    quad = xp.minimum(xp.minimum(ga, gb), xp.minimum(gc, gd))
     return xp.minimum(quad, hi - lo)
 
 
 def _completion(a, b, c, d, xp):
-    return _completion_slack(a, b, c, d, *_entry_interval(a, b, c, d, xp), xp)
+    gaps = _unit_gaps(a, b, c, d)
+    return _completion_slack(gaps, *_entry_interval(a, b, c, d, xp, gaps), xp)
 
 
 def _timo(a, b, c, d, xp):

@@ -41,7 +41,16 @@ takes its bases from a one-sided Jacobi SVD.  Their spectrum test first
 screens ``‖X‖₂²`` by the largest absolute row sum of ``X·Xᵀ``: a sum of
 at most ``1 + _SPECTRUM_TOL`` settles it, as for every involution the
 builders make.  Otherwise it counts the eigenvalues above 1 and below -1
-by inertia (:func:`boundary._count_above`).  Larger models
+by inertia (:func:`boundary._count_above`).  The screen, the commutators
+and the correlations read ``psi`` and the observables zero-padded to
+``d = 4`` once, as straight-line sums ``0.0 + x0*y0 + x1*y1 + x2*y2 +
+x3*y3``, with the bits of the generic ``sum(map(mul, x, y))``: ``sum``
+adds from +0.0 in index order (before Python 3.12), a round-to-nearest
+sum that starts at +0.0 is never -0.0, so the padded ±0.0 terms change
+no bit, and the screen and the commutators read absolute values only.
+A ``model`` operation (:func:`build_model`, which writes its Kronecker
+rows directly, and :func:`correlations_of`) takes about 34 µs, a third
+of the generic rows' 104 µs.  Larger models
 (Clifford models of rank 3 and 4, mixtures of several components) run on
 numpy arrays.  Only :func:`mixture_model` makes arrays; every other
 builder, and :meth:`QuantumModel.from_json_dict`, makes row tuples, and
@@ -81,6 +90,9 @@ _PSI_NORM_TOL = 1e-12
 _COMMUTATOR_TOL = 1e-10
 _SPECTRUM_TOL = 1e-10
 _SYMMETRY_TOL = 1e-12
+# The inertia counts' shift, and the norm screen's threshold on a squared
+# norm (see _norm_screen).
+_SPECTRUM_BOUND = 1.0 + _SPECTRUM_TOL
 
 # Models up to this dimension run on Python floats, larger ones on numpy.
 _SMALL_D = 4
@@ -88,17 +100,28 @@ _OBSERVABLES = ("A1", "A2", "B1", "B2")
 _EPS = 2.0 ** -52  # float64 machine epsilon, as numpy's ``finfo``
 _JACOBI_SWEEPS = 30
 
-# The building blocks of the models, as rows: the singlet ``psi``, the
-# planar reflections ``M(tau)`` and the Pauli reflections sigma1, sigma3.
-_EYE2 = ((1.0, 0.0), (0.0, 1.0))
+# The building blocks of the models, as rows: the singlet ``psi`` and the
+# Pauli reflections sigma1, sigma3.
 _SIGMA1 = ((0.0, 1.0), (1.0, 0.0))
 _SIGMA3 = ((1.0, 0.0), (0.0, -1.0))
 _SINGLET_ROW = tuple(x / math.sqrt(2.0) for x in (0.0, 1.0, -1.0, 0.0))
 
 
-def _reflection_rows(tau: float) -> tuple[tuple[float, float], ...]:
+def _reflection_kron(tau: float, left: bool):
+    """``M(tau) ⊗ 1`` if ``left``, else ``1 ⊗ M(tau)``, as rows.
+
+    The entries are those :func:`_kron` gives with the 2x2 identity: an
+    entry of ``M(tau)`` times 1.0 or 0.0, so each zero carries the sign of
+    the entry it came from (``model`` prints the ``-0.0``).
+    """
     ct, st = math.cos(tau), math.sin(tau)
-    return ((ct, st), (st, -ct))
+    mc = -ct
+    zc, zs, zm = ct * 0.0, st * 0.0, mc * 0.0
+    if left:
+        return ((ct, zc, st, zs), (zc, ct, zs, st),
+                (st, zs, mc, zm), (zs, st, zm, mc))
+    return ((ct, st, zc, zs), (st, mc, zs, zm),
+            (zc, zs, ct, st), (zs, zm, st, mc))
 
 
 def _as_lists(x) -> list:
@@ -192,16 +215,16 @@ def build_model(t: AngleTuple) -> QuantumModel:
     """
     return QuantumModel(
         psi=_SINGLET_ROW,
-        A1=_kron(_reflection_rows(t.alpha), _EYE2),
-        A2=_kron(_reflection_rows(-t.gamma), _EYE2),
-        B1=_kron(_EYE2, _reflection_rows(math.pi)),
-        B2=_kron(_EYE2, _reflection_rows(t.alpha + t.beta + math.pi)))
+        A1=_reflection_kron(t.alpha, True),
+        A2=_reflection_kron(-t.gamma, True),
+        B1=_reflection_kron(math.pi, False),
+        B2=_reflection_kron(t.alpha + t.beta + math.pi, False))
 
 
 def correlations_of(m: QuantumModel) -> Correlation:
     """Evaluate ``c_ij = <psi| A_i B_j psi>`` after validating the model."""
     if m.d <= _SMALL_D:
-        return Correlation(*_correlations_rows(*_checked_rows(m)))
+        return Correlation(*_correlations_rows(*_padded(*_checked_rows(m))))
     return Correlation(*_correlations_arrays(*_checked_arrays(m)))
 
 
@@ -249,13 +272,36 @@ def _max_abs(X) -> float:
 _NOT_NUMBERS = "psi must be a vector and the observables matrices of numbers"
 
 
+def _padded(psi, obs):
+    """``psi`` and the observables with zero entries, rows and columns
+    appended up to ``d = 4``; at ``d = 4`` they are returned as given.
+
+    The straight-line sums of the row route read length-4 rows.  A padded
+    term is a product with a zero and leaves every sum it joins unchanged:
+    a sum that starts at +0.0 is never -0.0 under round-to-nearest, so a
+    ±0.0 term changes no bit of it, and the screen and the commutators
+    read absolute values only.
+    """
+    pad = 4 - len(psi)
+    if not pad:
+        return psi, obs
+    zeros = (0.0,) * pad
+    rows = ((0.0,) * 4,) * pad
+    return ((*psi, *zeros),
+            tuple(tuple((*row, *zeros) for row in X) + rows for X in obs))
+
+
 def _norm_screen(X) -> bool:
     """Whether a norm bound alone keeps the spectrum of ``X`` in ``[-1, 1]``.
 
-    ``S = X·Xᵀ`` (``d(d+1)/2`` row·row products, mirrored) is positive
-    semidefinite with largest eigenvalue ``‖X‖₂²``, which its largest
-    absolute row sum ``m`` bounds.  An involution has ``S = 1`` and passes
-    with room to spare.
+    ``S = X·Xᵀ`` (the 10 row·row products of the padded 4x4 rows,
+    mirrored) is positive semidefinite with largest eigenvalue ``‖X‖₂²``,
+    which its largest absolute row sum ``m`` bounds.  An involution has
+    ``S = 1`` and passes with room to spare.  Each product and row sum is
+    one straight-line expression in the order ``sum`` adds, so it has the
+    bits of ``abs(sum(map(mul, X[i], X[j])))`` up to the sign of a zero,
+    which the absolute value drops; the padding adds zero rows, whose sums
+    pass, and zero terms (:func:`_padded`).
 
     The threshold is ``1 + _SPECTRUM_TOL`` on ``m``, a squared norm, so a
     pass gives ``|λ| ≤ sqrt(1 + 1e-10) < 1 + 5e-11`` for every eigenvalue,
@@ -267,12 +313,49 @@ def _norm_screen(X) -> bool:
     ``bound²`` as the threshold would let ``|λ|`` reach ``bound`` and leave
     no room for either error.  A row sum that is NaN fails the screen.
     """
-    d = len(X)
-    S = [[0.0] * d for _ in X]
-    for i, row in enumerate(X):
-        for j in range(i + 1):
-            S[i][j] = S[j][i] = abs(sum(map(mul, row, X[j])))
-    return all(sum(row) <= 1.0 + _SPECTRUM_TOL for row in S)
+    (x00, x01, x02, x03), (x10, x11, x12, x13), \
+        (x20, x21, x22, x23), (x30, x31, x32, x33) = X
+    s10 = abs(x10 * x00 + x11 * x01 + x12 * x02 + x13 * x03)
+    s20 = abs(x20 * x00 + x21 * x01 + x22 * x02 + x23 * x03)
+    s21 = abs(x20 * x10 + x21 * x11 + x22 * x12 + x23 * x13)
+    s30 = abs(x30 * x00 + x31 * x01 + x32 * x02 + x33 * x03)
+    s31 = abs(x30 * x10 + x31 * x11 + x32 * x12 + x33 * x13)
+    s32 = abs(x30 * x20 + x31 * x21 + x32 * x22 + x33 * x23)
+    # a sum of squares is never negative, nor -0.0, and needs no abs
+    s00 = x00 * x00 + x01 * x01 + x02 * x02 + x03 * x03
+    s11 = x10 * x10 + x11 * x11 + x12 * x12 + x13 * x13
+    s22 = x20 * x20 + x21 * x21 + x22 * x22 + x23 * x23
+    s33 = x30 * x30 + x31 * x31 + x32 * x32 + x33 * x33
+    return (s00 + s10 + s20 + s30 <= _SPECTRUM_BOUND
+            and s10 + s11 + s21 + s31 <= _SPECTRUM_BOUND
+            and s20 + s21 + s22 + s32 <= _SPECTRUM_BOUND
+            and s30 + s31 + s32 + s33 <= _SPECTRUM_BOUND)
+
+
+def _product(A, B) -> tuple[float, ...]:
+    """The 16 entries of ``A·B`` for padded 4x4 rows, row-major, each the
+    bits of ``sum(map(mul, A[i], column j of B))`` up to the sign of a
+    zero."""
+    (a00, a01, a02, a03), (a10, a11, a12, a13), \
+        (a20, a21, a22, a23), (a30, a31, a32, a33) = A
+    (b00, b01, b02, b03), (b10, b11, b12, b13), \
+        (b20, b21, b22, b23), (b30, b31, b32, b33) = B
+    return (a00 * b00 + a01 * b10 + a02 * b20 + a03 * b30,
+            a00 * b01 + a01 * b11 + a02 * b21 + a03 * b31,
+            a00 * b02 + a01 * b12 + a02 * b22 + a03 * b32,
+            a00 * b03 + a01 * b13 + a02 * b23 + a03 * b33,
+            a10 * b00 + a11 * b10 + a12 * b20 + a13 * b30,
+            a10 * b01 + a11 * b11 + a12 * b21 + a13 * b31,
+            a10 * b02 + a11 * b12 + a12 * b22 + a13 * b32,
+            a10 * b03 + a11 * b13 + a12 * b23 + a13 * b33,
+            a20 * b00 + a21 * b10 + a22 * b20 + a23 * b30,
+            a20 * b01 + a21 * b11 + a22 * b21 + a23 * b31,
+            a20 * b02 + a21 * b12 + a22 * b22 + a23 * b32,
+            a20 * b03 + a21 * b13 + a22 * b23 + a23 * b33,
+            a30 * b00 + a31 * b10 + a32 * b20 + a33 * b30,
+            a30 * b01 + a31 * b11 + a32 * b21 + a33 * b31,
+            a30 * b02 + a31 * b12 + a32 * b22 + a33 * b32,
+            a30 * b03 + a31 * b13 + a32 * b23 + a33 * b33)
 
 
 def _checked_rows(m: QuantumModel):
@@ -282,7 +365,9 @@ def _checked_rows(m: QuantumModel):
     transpose exactly, and then for a spectrum in ``[-1, 1]``: by
     :func:`_norm_screen` when that settles it, as it does for involutions,
     and otherwise by two inertia counts (:func:`boundary._count_above`)
-    above ``1 + _SPECTRUM_TOL`` for ``X`` and ``-X``.
+    above ``1 + _SPECTRUM_TOL`` for ``X`` and ``-X``.  The screen and the
+    commutators run on the fields zero-padded to ``d = 4`` (:func:`_padded`)
+    as straight-line sums, the counts on the rows as given.
     """
     d = m.d
     try:
@@ -300,46 +385,68 @@ def _checked_rows(m: QuantumModel):
     norm = math.hypot(*psi)
     if abs(norm - 1.0) > _PSI_NORM_TOL:
         raise InvalidModel(f"|psi| = {norm!r} not normalized")
-    bound = 1.0 + _SPECTRUM_TOL
     cols = [tuple(zip(*X)) for X in obs]
     exact = [X == XT for X, XT in zip(obs, cols)]
-    for name, X, XT, symmetric in zip(_OBSERVABLES, obs, cols, exact):
+    padded = _padded(psi, obs)[1]
+    for name, X, XT, symmetric, X4 in zip(_OBSERVABLES, obs, cols, exact,
+                                          padded):
         if not symmetric and max(map(abs, map(
                 sub, chain(*X), chain(*XT)))) > _SYMMETRY_TOL:
             raise InvalidModel(f"{name} not symmetric")
-        if _norm_screen(X):
+        if _norm_screen(X4):
             continue
-        if _count_above(X, bound):
+        if _count_above(X, _SPECTRUM_BOUND):
             raise InvalidModel(
                 f"{name} spectrum leaves [-1, 1]: an eigenvalue above 1")
-        if _count_above([[-x for x in row] for row in X], bound):
+        if _count_above([[-x for x in row] for row in X], _SPECTRUM_BOUND):
             raise InvalidModel(
                 f"{name} spectrum leaves [-1, 1]: an eigenvalue below -1")
-    for A, AT, a_exact in zip(obs[:2], cols[:2], exact[:2]):
-        for B, BT, b_exact in zip(obs[2:], cols[2:], exact[2:]):
+    for A, a_exact in zip(padded[:2], exact[:2]):
+        for B, b_exact in zip(padded[2:], exact[2:]):
+            AB = _product(A, B)
             if a_exact and b_exact:
                 # exactly symmetric A and B give (B·A)_ij = (A·B)_ji to
                 # the last bit (the same products, summed in the same
-                # order), so the commutator is antisymmetric with a zero
-                # diagonal, and its entries below the diagonal are
-                # A_i·B_j - A_j·B_i, bit for bit those of the full products
-                worst = max([abs(sum(map(mul, A[i], B[j]))
-                                 - sum(map(mul, A[j], B[i])))
-                             for i in range(d) for j in range(i)],
-                            default=0.0)
+                # order), but for the sign of a zero, which abs drops: the
+                # commutator is antisymmetric with a zero diagonal, and its
+                # entries below the diagonal, in order, are those of the
+                # full products
+                worst = max(abs(AB[4] - AB[1]), abs(AB[8] - AB[2]),
+                            abs(AB[9] - AB[6]), abs(AB[12] - AB[3]),
+                            abs(AB[13] - AB[7]), abs(AB[14] - AB[11]))
             else:
-                worst = max(map(abs, map(
-                    sub, [sum(map(mul, row, col)) for row in A for col in BT],
-                    [sum(map(mul, row, col)) for row in B for col in AT])))
+                worst = max(map(abs, map(sub, AB, _product(B, A))))
             if worst > _COMMUTATOR_TOL:
                 raise InvalidModel(f"commutator norm {worst!r}")
     return psi, obs
 
 
 def _correlations_rows(psi, obs) -> list[float]:
+    """``<psi| A_i B_j psi>`` for padded 4-rows, with the bits of
+    ``_dot(psi, _matvec(A_i, _matvec(B_j, psi)))``.
+
+    Only the outer sum starts at +0.0.  An inner sum without that start
+    can differ only in the sign of a zero, which reaches the outer sum as
+    the sign of a zero term, and a sum that starts at +0.0 ignores that.
+    """
+    p0, p1, p2, p3 = psi
     A1, A2, B1, B2 = obs
-    b_psi = [_matvec(B, psi) for B in (B1, B2)]
-    return [_dot(psi, _matvec(A, v)) for A in (A1, A2) for v in b_psi]
+    vs = []
+    for (b00, b01, b02, b03), (b10, b11, b12, b13), \
+            (b20, b21, b22, b23), (b30, b31, b32, b33) in (B1, B2):
+        vs.append((b00 * p0 + b01 * p1 + b02 * p2 + b03 * p3,
+                   b10 * p0 + b11 * p1 + b12 * p2 + b13 * p3,
+                   b20 * p0 + b21 * p1 + b22 * p2 + b23 * p3,
+                   b30 * p0 + b31 * p1 + b32 * p2 + b33 * p3))
+    out = []
+    for (a00, a01, a02, a03), (a10, a11, a12, a13), \
+            (a20, a21, a22, a23), (a30, a31, a32, a33) in (A1, A2):
+        for v0, v1, v2, v3 in vs:
+            out.append(0.0 + p0 * (a00 * v0 + a01 * v1 + a02 * v2 + a03 * v3)
+                       + p1 * (a10 * v0 + a11 * v1 + a12 * v2 + a13 * v3)
+                       + p2 * (a20 * v0 + a21 * v1 + a22 * v2 + a23 * v3)
+                       + p3 * (a30 * v0 + a31 * v1 + a32 * v2 + a33 * v3))
+    return out
 
 
 def _hestenes(vectors) -> tuple[list[list[float]], list[list[float]]]:

@@ -1,6 +1,8 @@
 import json
 import math
-from itertools import product
+from functools import reduce
+from itertools import chain, product
+from operator import add, mul, sub
 
 import numpy as np
 import pytest
@@ -530,3 +532,233 @@ class TestSpectrumScreen:
             correlations_of(above)
         assert str(err.value) == message
         assert len(counts) == 1
+
+
+# ---------------------------------------------------------------------------
+# The straight-line 4x4 sums against the generic row code they replaced
+# ---------------------------------------------------------------------------
+
+def _sum(values) -> float:
+    """``sum(values)`` of floats as Python before 3.12 adds them: from +0.0,
+    in order (3.12's ``sum`` compensates the round-off)."""
+    return reduce(add, values, 0.0)
+
+
+def _generic_dot(x, y) -> float:
+    return _sum(map(mul, x, y))
+
+
+def _generic_screen(X) -> bool:
+    S = [[0.0] * len(X) for _ in X]
+    for i, row in enumerate(X):
+        for j in range(i + 1):
+            S[i][j] = S[j][i] = abs(_generic_dot(row, X[j]))
+    return all(_sum(row) <= 1.0 + 1e-10 for row in S)
+
+
+def _generic_checked_rows(m: QuantumModel):
+    """The generic row validation at ``d ≤ 4``, frozen: the screen over
+    ``d(d+1)/2`` row products, the commutator shortcut below the diagonal
+    and the full products, each entry a ``sum(map(mul, …))``."""
+    d = m.d
+    psi = tuple(m.psi.tolist()) if hasattr(m.psi, "tolist") else m.psi
+    obs = tuple(tuple(map(tuple, X.tolist())) if hasattr(X, "tolist") else X
+                for X in m.observables())
+    for name, X in zip(("A1", "A2", "B1", "B2"), obs):
+        if len(X) != d or any(len(row) != d for row in X):
+            raise InvalidModel(f"{name} is not {d}x{d}")
+    if not all(map(math.isfinite, chain(psi, *chain(*obs)))):
+        raise InvalidModel("model entries must be finite")
+    norm = math.hypot(*psi)
+    if abs(norm - 1.0) > 1e-12:
+        raise InvalidModel(f"|psi| = {norm!r} not normalized")
+    bound = 1.0 + 1e-10
+    cols = [tuple(zip(*X)) for X in obs]
+    exact = [X == XT for X, XT in zip(obs, cols)]
+    for name, X, XT, symmetric in zip(("A1", "A2", "B1", "B2"), obs, cols,
+                                      exact):
+        if not symmetric and max(map(abs, map(
+                sub, chain(*X), chain(*XT)))) > 1e-12:
+            raise InvalidModel(f"{name} not symmetric")
+        if _generic_screen(X):
+            continue
+        if quantum._count_above(X, bound):
+            raise InvalidModel(
+                f"{name} spectrum leaves [-1, 1]: an eigenvalue above 1")
+        if quantum._count_above([[-x for x in row] for row in X], bound):
+            raise InvalidModel(
+                f"{name} spectrum leaves [-1, 1]: an eigenvalue below -1")
+    for A, AT, a_exact in zip(obs[:2], cols[:2], exact[:2]):
+        for B, BT, b_exact in zip(obs[2:], cols[2:], exact[2:]):
+            if a_exact and b_exact:
+                worst = max([abs(_generic_dot(A[i], B[j])
+                                 - _generic_dot(A[j], B[i]))
+                             for i in range(d) for j in range(i)],
+                            default=0.0)
+            else:
+                worst = max(map(abs, map(
+                    sub, [_generic_dot(row, col) for row in A for col in BT],
+                    [_generic_dot(row, col) for row in B for col in AT])))
+            if worst > 1e-10:
+                raise InvalidModel(f"commutator norm {worst!r}")
+    return psi, obs
+
+
+def _generic_correlations(m: QuantumModel) -> Correlation:
+    psi, (A1, A2, B1, B2) = _generic_checked_rows(m)
+    b_psi = [[_generic_dot(row, psi) for row in B] for B in (B1, B2)]
+    return Correlation(*[_generic_dot(psi, [_generic_dot(row, v)
+                                            for row in A])
+                         for A in (A1, A2) for v in b_psi])
+
+
+def _kron_model(t: AngleTuple) -> QuantumModel:
+    """The standard model with every observable a ``quantum._kron`` of 2x2
+    rows."""
+    def reflection(tau):
+        return ((math.cos(tau), math.sin(tau)),
+                (math.sin(tau), -math.cos(tau)))
+
+    eye = ((1.0, 0.0), (0.0, 1.0))
+    return QuantumModel(
+        psi=quantum._SINGLET_ROW,
+        A1=quantum._kron(reflection(t.alpha), eye),
+        A2=quantum._kron(reflection(-t.gamma), eye),
+        B1=quantum._kron(eye, reflection(math.pi)),
+        B2=quantum._kron(eye, reflection(t.alpha + t.beta + math.pi)))
+
+
+EDGE_FAMILIES = ("signed_zeros", "near_symmetric", "screen_edge", "overflow")
+
+
+def _edge_model(rng: np.random.Generator, family: str,
+                d: int) -> QuantumModel:
+    """A row-tuple model on R^d, ``d ≤ 4``, at an edge of the arithmetic:
+
+    * ``signed_zeros``: diagonal observables in a permuted basis, with
+      entries in ``{±1, ±0.5, ±0.0}``, and ``psi`` with ``±0.0`` entries;
+      one time in four ``B2`` swaps two basis vectors;
+    * ``near_symmetric``: involutions with up to about 2e-12 added above
+      the diagonal, which take the full commutator products;
+    * ``screen_edge``: spectra of ``±(1 ± 7e-11)`` and ``±1``, in the
+      standard or a random basis;
+    * ``overflow``: one observable scaled by ``10^u``, ``|u|`` in
+      ``[155, 300]``, so its products overflow or underflow.
+    """
+    def signed_zero():
+        return -0.0 if rng.integers(0, 2) else 0.0
+
+    if family == "signed_zeros":
+        perm = rng.permutation(d)
+
+        def observable():
+            diag = rng.choice((-1.0, 1.0, 0.5, -0.5, 0.0), size=d)
+            rows = [[signed_zero() for _ in range(d)] for _ in range(d)]
+            for i, p in enumerate(perm):
+                rows[p][p] = float(diag[i]) or signed_zero()
+            return tuple(map(tuple, rows))
+
+        mats = [observable() for _ in range(4)]
+        if d > 1 and rng.integers(0, 4) == 0:
+            rows = [[signed_zero() for _ in range(d)] for _ in range(d)]
+            rows[0][1] = rows[1][0] = 1.0
+            for i in range(2, d):
+                rows[i][i] = 1.0
+            mats[3] = tuple(map(tuple, rows))
+        psi = [signed_zero() for _ in range(d)]
+        live = rng.choice(d, size=rng.integers(1, d + 1), replace=False)
+        values = rng.normal(size=len(live))
+        values /= np.linalg.norm(values)
+        for i, v in zip(live, values.tolist()):
+            psi[i] = v
+        return QuantumModel(psi=tuple(psi),
+                            **dict(zip(("A1", "A2", "B1", "B2"), mats)))
+
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    if family == "screen_edge" and rng.integers(0, 2):
+        q = np.eye(d)
+
+    def observable() -> np.ndarray:
+        signs = rng.choice((-1.0, 1.0), size=d)
+        if family == "screen_edge":
+            signs = signs * (1.0 + rng.choice((-7e-11, 0.0, 7e-11), size=d))
+        x = (q * signs) @ q.T
+        if family == "near_symmetric":
+            x = x + np.triu(rng.uniform(-1.0, 1.0, size=(d, d)), 1) \
+                * 10.0 ** rng.uniform(-13.0, -11.7)
+        return x
+
+    mats = [observable() for _ in range(4)]
+    if family == "overflow":
+        k = rng.integers(0, 4)
+        mats[k] = mats[k] * 10.0 ** (rng.choice((-1.0, 1.0))
+                                     * rng.uniform(155.0, 300.0))
+    psi = rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    return QuantumModel(psi=tuple(psi.tolist()), **dict(zip(
+        ("A1", "A2", "B1", "B2"), (tuple(map(tuple, x.tolist()))
+                                   for x in mats))))
+
+
+def _repr_outcome(check, model) -> str:
+    try:
+        return repr(check(model))
+    except InvalidModel as err:
+        return f"InvalidModel: {err}"
+
+
+class TestStraightLineSums:
+    def test_built_models(self):
+        rng = np.random.default_rng(601)
+        for a, b, g in rng.uniform(-7.0, 7.0, size=(2000, 3)).tolist():
+            t = AngleTuple(a, b, g, -(a + b + g))
+            model, kron = build_model(t), _kron_model(t)
+            assert model.to_json_dict() == kron.to_json_dict()
+            assert repr(model.to_json_dict()) == repr(kron.to_json_dict())
+            assert repr(correlations_of(model)) == \
+                repr(_generic_correlations(model))
+            assert quantum._checked_rows(model) == \
+                _generic_checked_rows(model)
+
+    @pytest.mark.parametrize("family", VALIDATION_FAMILIES + EDGE_FAMILIES)
+    def test_families(self, family):
+        rng = np.random.default_rng(613 + (VALIDATION_FAMILIES
+                                           + EDGE_FAMILIES).index(family))
+        for d in (1, 4) if family == "built" else (1, 2, 3, 4):
+            for _ in range(150):
+                model = (validation_model if family in VALIDATION_FAMILIES
+                         else _edge_model)(rng, family, d)
+                assert _repr_outcome(quantum._checked_rows, model) == \
+                    _repr_outcome(_generic_checked_rows, model)
+                assert _repr_outcome(correlations_of, model) == \
+                    _repr_outcome(_generic_correlations, model)
+                # the screen decides alike, though the counts it skips
+                # would hide a difference from the outcomes
+                padded = quantum._padded(model.psi, model.observables())[1]
+                assert [quantum._norm_screen(X) for X in padded] == \
+                    [_generic_screen(X) for X in model.observables()]
+
+    def test_families_reach_every_branch(self, monkeypatch):
+        # the edge families must exercise what they are named for: both
+        # commutator branches, the counts, each kind of rejection and a
+        # correlation that is zero, whose sign the sums fix
+        seen = set()
+        for name in ("_product", "_count_above"):
+            def traced(*args, name=name, f=getattr(quantum, name)):
+                seen.add(name)
+                return f(*args)
+            monkeypatch.setattr(quantum, name, traced)
+        rng = np.random.default_rng(631)
+        for family in EDGE_FAMILIES:
+            for d in (1, 2, 3, 4):
+                for _ in range(150):
+                    try:
+                        c = correlations_of(_edge_model(rng, family, d))
+                    except InvalidModel as err:
+                        seen.update(kind for kind in (
+                            "not symmetric", "spectrum", "commutator")
+                            if kind in str(err))
+                    else:
+                        seen.add("zero" if 0.0 in c.as_tuple() else "valid")
+        assert seen == {"_product", "_count_above", "not symmetric",
+                        "spectrum", "commutator", "zero", "valid"}
