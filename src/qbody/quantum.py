@@ -43,9 +43,10 @@ at most ``1 + _SPECTRUM_TOL`` settles it, as for every involution the
 builders make.  Otherwise it counts the eigenvalues above 1 and below -1
 by inertia (:func:`boundary._count_above`).  The screen, the commutators
 and the correlations read ``psi`` and the observables zero-padded to
-``d = 4`` once, as straight-line sums ``0.0 + x0*y0 + x1*y1 + x2*y2 +
+``d = 4`` once, as straight-line sums ``0 + x0*y0 + x1*y1 + x2*y2 +
 x3*y3``, with the bits of the generic ``sum(map(mul, x, y))``: ``sum``
-adds from +0.0 in index order (before Python 3.12), a round-to-nearest
+adds from 0, +0.0 for floats, in index order (before Python 3.12; 3.12
+compensates the round-off), a round-to-nearest
 sum that starts at +0.0 is never -0.0, so the padded ±0.0 terms change
 no bit, and the screen and the commutators read absolute values only.
 A ``model`` operation (:func:`build_model`, which writes its Kronecker
@@ -280,13 +281,14 @@ def _padded(psi, obs):
     term is a product with a zero and leaves every sum it joins unchanged:
     a sum that starts at +0.0 is never -0.0 under round-to-nearest, so a
     ±0.0 term changes no bit of it, and the screen and the commutators
-    read absolute values only.
+    read absolute values only.  The zeros are integers, so that integer
+    entries keep integer sums, as with ``sum``.
     """
     pad = 4 - len(psi)
     if not pad:
         return psi, obs
-    zeros = (0.0,) * pad
-    rows = ((0.0,) * 4,) * pad
+    zeros = (0,) * pad
+    rows = ((0,) * 4,) * pad
     return ((*psi, *zeros),
             tuple(tuple((*row, *zeros) for row in X) + rows for X in obs))
 
@@ -425,9 +427,11 @@ def _correlations_rows(psi, obs) -> list[float]:
     """``<psi| A_i B_j psi>`` for padded 4-rows, with the bits of
     ``_dot(psi, _matvec(A_i, _matvec(B_j, psi)))``.
 
-    Only the outer sum starts at +0.0.  An inner sum without that start
-    can differ only in the sign of a zero, which reaches the outer sum as
-    the sign of a zero term, and a sum that starts at +0.0 ignores that.
+    Only the outer sum starts, as ``sum`` does, at the integer 0: +0.0
+    for float entries, and integer entries keep integer sums.  An inner
+    sum without that start can differ only in the sign of a zero, which
+    reaches the outer sum as the sign of a zero term, and a sum that
+    starts at +0.0 ignores that.
     """
     p0, p1, p2, p3 = psi
     A1, A2, B1, B2 = obs
@@ -442,7 +446,7 @@ def _correlations_rows(psi, obs) -> list[float]:
     for (a00, a01, a02, a03), (a10, a11, a12, a13), \
             (a20, a21, a22, a23), (a30, a31, a32, a33) in (A1, A2):
         for v0, v1, v2, v3 in vs:
-            out.append(0.0 + p0 * (a00 * v0 + a01 * v1 + a02 * v2 + a03 * v3)
+            out.append(0 + p0 * (a00 * v0 + a01 * v1 + a02 * v2 + a03 * v3)
                        + p1 * (a10 * v0 + a11 * v1 + a12 * v2 + a13 * v3)
                        + p2 * (a20 * v0 + a21 * v1 + a22 * v2 + a23 * v3)
                        + p3 * (a30 * v0 + a31 * v1 + a32 * v2 + a33 * v3))

@@ -539,9 +539,9 @@ class TestSpectrumScreen:
 # ---------------------------------------------------------------------------
 
 def _sum(values) -> float:
-    """``sum(values)`` of floats as Python before 3.12 adds them: from +0.0,
-    in order (3.12's ``sum`` compensates the round-off)."""
-    return reduce(add, values, 0.0)
+    """``sum(values)`` as Python before 3.12 adds it: from the integer 0,
+    in order (3.12's ``sum`` compensates float round-off)."""
+    return reduce(add, values, 0)
 
 
 def _generic_dot(x, y) -> float:
@@ -719,6 +719,14 @@ class TestStraightLineSums:
                 repr(_generic_correlations(model))
             assert quantum._checked_rows(model) == \
                 _generic_checked_rows(model)
+
+    def test_integer_entries_keep_integer_sums(self):
+        model = QuantumModel(psi=(0, 1), A1=((1, 0), (0, -1)),
+                             A2=((0, 1), (1, 0)), B1=((1, 0), (0, 1)),
+                             B2=((-1, 0), (0, -1)))
+        assert repr(correlations_of(model)) == \
+            repr(_generic_correlations(model)) == \
+            "Correlation(c11=-1, c12=1, c21=0, c22=0)"
 
     @pytest.mark.parametrize("family", VALIDATION_FAMILIES + EDGE_FAMILIES)
     def test_families(self, family):
