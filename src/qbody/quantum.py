@@ -43,15 +43,16 @@ at most ``1 + _SPECTRUM_TOL`` settles it, as for every involution the
 builders make.  Otherwise it counts the eigenvalues above 1 and below -1
 by inertia (:func:`boundary._count_above`).  The screen, the commutators
 and the correlations read ``psi`` and the observables zero-padded to
-``d = 4`` once, as straight-line sums ``0 + x0*y0 + x1*y1 + x2*y2 +
-x3*y3``, with the bits of the generic ``sum(map(mul, x, y))``: ``sum``
-adds from 0, +0.0 for floats, in index order (before Python 3.12; 3.12
-compensates the round-off), a round-to-nearest
-sum that starts at +0.0 is never -0.0, so the padded ±0.0 terms change
-no bit, and the screen and the commutators read absolute values only.
-A ``model`` operation (:func:`build_model`, which writes its Kronecker
-rows directly, and :func:`correlations_of`) takes about 34 µs, a third
-of the generic rows' 104 µs.  Larger models
+``d = 4`` (as given at ``d = 4``) and evaluate straight-line sums ``0 +
+x0*y0 + x1*y1 + x2*y2 + x3*y3``, with the bits of the generic
+``sum(map(mul, x, y))``: ``sum`` adds from 0, which is +0.0 for floats,
+in index order (before Python 3.12, whose ``sum`` compensates the
+round-off); a round-to-nearest sum that starts at +0.0 is never -0.0,
+so the padded ±0.0 terms change no bit; and the screen and the
+commutators read absolute values only.  A ``model`` operation
+(:func:`build_model`, which writes its Kronecker rows directly, and
+:func:`correlations_of`) takes about 42 µs, against 115 µs with the
+generic rows (perfbench ``query``, Python 3.11).  Larger models
 (Clifford models of rank 3 and 4, mixtures of several components) run on
 numpy arrays.  Only :func:`mixture_model` makes arrays; every other
 builder, and :meth:`QuantumModel.from_json_dict`, makes row tuples, and

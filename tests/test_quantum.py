@@ -635,9 +635,9 @@ def _edge_model(rng: np.random.Generator, family: str,
                 d: int) -> QuantumModel:
     """A row-tuple model on R^d, ``d ≤ 4``, at an edge of the arithmetic:
 
-    * ``signed_zeros``: diagonal observables in a permuted basis, with
-      entries in ``{±1, ±0.5, ±0.0}``, and ``psi`` with ``±0.0`` entries;
-      one time in four ``B2`` swaps two basis vectors;
+    * ``signed_zeros``: diagonal observables with entries in ``{±1,
+      ±0.5, ±0.0}`` and ``±0.0`` off the diagonal, and ``psi`` with
+      ``±0.0`` entries; one time in four ``B2`` swaps two basis vectors;
     * ``near_symmetric``: involutions with up to about 2e-12 added above
       the diagonal, which take the full commutator products;
     * ``screen_edge``: spectra of ``±(1 ± 7e-11)`` and ``±1``, in the
@@ -649,13 +649,11 @@ def _edge_model(rng: np.random.Generator, family: str,
         return -0.0 if rng.integers(0, 2) else 0.0
 
     if family == "signed_zeros":
-        perm = rng.permutation(d)
-
         def observable():
             diag = rng.choice((-1.0, 1.0, 0.5, -0.5, 0.0), size=d)
             rows = [[signed_zero() for _ in range(d)] for _ in range(d)]
-            for i, p in enumerate(perm):
-                rows[p][p] = float(diag[i]) or signed_zero()
+            for i in range(d):
+                rows[i][i] = float(diag[i]) or signed_zero()
             return tuple(map(tuple, rows))
 
         mats = [observable() for _ in range(4)]
