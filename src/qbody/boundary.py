@@ -27,15 +27,17 @@ stratum:
     stratum   Q1  Q2  Q3  Q4  Q5        (Q6 = interior)
     rank C     1   2   2   2   3        (Q6 admits rank 4)
 
-Extreme strata are parametrized by angle tuples ``(alpha, beta, gamma,
-delta)`` with sum ≡ 0 (mod 2π) via ``c = (cos alpha, ..., cos delta)``.
-With ``Delta = sin(alpha)·sin(beta)·sin(gamma)·sin(delta)``:
-
-* ``Delta < 0``   exposed extreme points (Q4), where ``g(c) = 2·Delta``,
-* ``Delta = 0``   lower strata by the count of angles that are multiples
-  of π (four: Q1 vertices, two: Q2 edges, one: Q3 non-exposed extreme
-  points),
-* ``Delta > 0``   interior points.
+The pushout ``c = sin((π/2)·x)`` carries ``CL`` onto ``Q`` with its faces:
+a stratum is the face of ``CL`` that holds ``x``, with a slack in ``x``
+(:func:`_pushout_face`).  Three or four cube-active ``|x_ij| = 1`` give
+Q1, two Q2, one Q3 on a CHSH face (an odd half of ``x`` at 1) and Q5 off
+it, none Q4 on a CHSH face and Q6 off it.  Angle tuples ``(alpha, beta,
+gamma, delta)`` with sum ≡ 0 (mod 2π) give ``c = (cos alpha, ..., cos
+delta)``, whose pushout is ``x = 1 - 2|θ|/π`` (angles reduced mod 2π), as
+``asin(cos θ) = π/2 - |θ|`` for ``|θ| ≤ π``; the slack map ``ε ↦ 2ε/π``
+makes an angle cube-active within ``ε`` of a multiple of π.  ``g(c) =
+2·Delta``, ``Delta`` the product of the four sines: negative on Q4,
+positive on interior tuples, zero on Q1–Q3.
 
 A Q4 point is exposed by the unique functional
 
@@ -65,6 +67,9 @@ from .core import (
     Tolerance,
     _Floats,
     _check_finite,
+    _fold_sum,
+    _odd_sums,
+    _two_h,
 )
 from .membership import (_completion_slack, _entry_interval,
                          _inverse_pushout, _max_abs, _odd_max, _unit_gaps)
@@ -111,17 +116,12 @@ def _wrap_angle(x: float, eps: float) -> float:
     return y
 
 
-def _sum_residual(total: float) -> float:
-    """Distance from the nearest multiple of 2π."""
-    return abs(math.remainder(total, TWO_PI))
-
-
 @dataclass(frozen=True)
 class AngleTuple:
     """Angles ``(alpha, beta, gamma, delta)`` with sum ≡ 0 mod 2π.
 
-    Construction validates the sum constraint at ``eps``, the default
-    angle tolerance unless given; ``eps`` takes no part in equality.
+    Construction validates the sum constraint at ``eps``, a positive finite
+    tolerance (the angle default unless given) that takes no part in equality.
     :meth:`canonical` returns the representative with every angle in
     ``(-pi, pi]`` and the overall-negation ambiguity of the cosine
     parametrization resolved (``alpha ∈ [0, pi]``), decided and validated
@@ -137,7 +137,10 @@ class AngleTuple:
 
     def __post_init__(self) -> None:
         _check_finite(type(self).__name__, self.as_tuple())
-        res = _sum_residual(self.alpha + self.beta + self.gamma + self.delta)
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite: {self.eps!r}")
+        total = self.alpha + self.beta + self.gamma + self.delta
+        res = abs(math.remainder(total, TWO_PI))
         if res > self.eps:
             raise AngleSumViolation(
                 f"angle sum residual {res:.3e} exceeds tolerance")
@@ -153,8 +156,7 @@ class AngleTuple:
 
     def delta_product(self) -> float:
         """The sign marker ``Delta``, the product of the four sines."""
-        s = self.sines()
-        return s[0] * s[1] * s[2] * s[3]
+        return math.prod(self.sines())
 
     def cosines(self) -> Correlation:
         return Correlation(*(math.cos(t) for t in self.as_tuple()))
@@ -386,29 +388,31 @@ _FACES = (Stratum.Q6, Stratum.Q4, Stratum.Q5, Stratum.Q3,
           Stratum.Q2, Stratum.Q2, Stratum.Q1, Stratum.Q1, Stratum.EXTERIOR)
 
 
-def _face(a, b, c, d, eps, xp):
-    """The ``_FACES`` index of the face of ``CL`` that holds the inverse
-    pushout ``x = (2/π)·asin(c)``, with ``eps`` a slack in ``x``: EXTERIOR
-    if ``|c_ij| > 1 + eps`` or an odd half of ``x`` exceeds ``1 + eps``,
-    else by the count of cube-active ``|x_ij| ≥ 1 - eps`` and whether an
-    odd half (a CHSH face) is at least ``1 - eps``.  A column kernel (see
-    :mod:`qbody.core`).
-    """
-    x = [_inverse_pushout(v, xp) for v in (a, b, c, d)]
+def _pushout_face(x, eps, xp):
+    """The ``_FACES`` index of the face of ``CL`` holding ``x``, ``eps`` a
+    slack in ``x``: EXTERIOR if an odd half exceeds ``1 + eps``, else by
+    the count of cube-active ``|x_ij| ≥ 1 - eps`` and whether an odd half
+    (a CHSH face) is at least ``1 - eps``.  A column kernel (:mod:`core`)."""
     odd = _odd_max(*x, xp)
     cube = sum(abs(v) >= 1.0 - eps for v in x)
     face = 2 * xp.minimum(cube, 3) + (odd >= 1.0 - eps)
-    outside = (_max_abs(a, b, c, d, xp) > 1.0 + eps) | (odd > 1.0 + eps)
-    return xp.maximum(face, 8 * outside)
+    return xp.maximum(face, 8 * (odd > 1.0 + eps))
+
+
+def _face(a, b, c, d, eps, xp):
+    """:func:`_pushout_face` of the inverse pushout ``x = (2/π)·asin(c)``,
+    and EXTERIOR also if ``|c_ij| > 1 + eps``.  A column kernel."""
+    face = _pushout_face([_inverse_pushout(v, xp) for v in (a, b, c, d)],
+                         eps, xp)
+    return xp.maximum(face, 8 * (_max_abs(a, b, c, d, xp) > 1.0 + eps))
 
 
 def classify(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE) -> Stratum:
     """Assign ``c`` to a stratum Q1..Q6 or EXTERIOR.
 
-    The stratum is the face of the cross polytope ``CL`` that holds the
-    inverse pushout (:func:`_face` at ``eps = tol.eps_boundary``): three
-    or four cube-active coordinates give Q1, two Q2, one Q3 with a CHSH
-    face and Q5 without, none Q4 with a CHSH face and Q6 without.
+    The stratum is the face of ``CL`` that holds the inverse pushout
+    (:func:`_face` at ``eps = tol.eps_boundary``; see the module
+    docstring).
 
     Float floor: near ``|c| = 1``, ``x`` resolves only to about
     ``(2/π)·sqrt(2·(1 - |c|))``, 9.5e-9 for ``1 - 2⁻⁵³``.  So at the
@@ -444,72 +448,60 @@ class ExtremePoint:
     stratum: Stratum
 
 
+# the sign patterns of the odd and even sums, read off the unit vectors
+_SIGNS = tuple(zip(*(_odd_sums(*row) + _two_h(*row) for row in
+                     ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                      (0, 0, 0, 1)))))
+
+
 def extreme_from_angles(t: AngleTuple) -> ExtremePoint:
     """Map an angle tuple to its correlation point and stratum.
 
-    The stratum follows the sign of the sine product: negative gives an
-    exposed extreme point (Q4), positive an interior point (Q6), and zero
-    the lower strata by the number of angles that are multiples of π.
-    "Zero" and "multiple" are judged at the tuple's own ``t.eps``, the
-    tolerance its sum was validated at.
+    The stratum is the face of the tuple's pushout (module docstring) at
+    the slack ``2·t.eps/π``, ``delta`` re-derived as ``-(alpha + beta +
+    gamma)``.  It is the stratum of the sine product's sign and the count
+    of multiples of π at ``t.eps`` outside a band: an angle (``delta``
+    given or re-derived) within 2e-15 of ``t.eps`` from a multiple of π, a
+    given ``delta`` across ``t.eps`` from the re-derived one, and below
+    ``t.eps`` ≈ 1e-15 all of Q4.
     """
-    eps = t.eps
-    point = t.cosines()
-    sines = t.sines()
-    delta = t.delta_product()
-    if delta < -eps:
-        stratum = Stratum.Q4
-    elif delta > eps:
-        stratum = Stratum.Q6
-    else:
-        multiples = sum(1 for s in sines if abs(s) <= eps)
-        if multiples >= 3:
-            # the sum constraint forces the fourth to be a multiple as well
-            stratum = Stratum.Q1
-        elif multiples == 2:
-            stratum = Stratum.Q2
-        elif multiples == 1:
-            stratum = Stratum.Q3
-        else:
-            stratum = Stratum.Q4 if delta < 0.0 else Stratum.Q6
-    return ExtremePoint(c=point, stratum=stratum)
+    a, b, g, _ = t.as_tuple()
+    x = [1.0 - 4.0 * abs(math.remainder(v, TWO_PI)) / TWO_PI
+         for v in (a, b, g, -(a + b + g))]
+    face = _pushout_face(x, 4.0 * t.eps / TWO_PI, _Floats)
+    return ExtremePoint(c=t.cosines(), stratum=_FACES[face])
 
 
 def angles_from_point(c: Correlation,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> AngleTuple:
     """Recover the canonical angle tuple of an extreme-stratum point.
 
-    Searches the sign patterns of coordinatewise arccos, up to overall
-    negation, for one meeting the sum constraint at ``tol.eps_angle``, the
-    tuple's ``eps``.  Raises :class:`NotExtreme` when none does (facet
-    interiors, interior points, and exterior points admit no cosine
-    parametrization).  Accuracy degrades like ``1/|sin|`` next to the
-    strata where a coordinate saturates.
+    For the inverse pushout ``x = (2/π)·asin(c) = 1 - (2/π)·acos(c)``, a
+    sign pattern ``s`` gives ``Σ s_ij·acos(c_ij) = (π/2)·(Σs - s·x)``, so
+    the odd sums of ``x`` (±2 on a CHSH face) and its even sums (0 or ±4 at
+    the cosines of an interior tuple) give every pattern's sum residual;
+    the least is taken, the first on ties.  Above ``tol.eps_angle``, the
+    tuple's ``eps``, it raises :class:`NotExtreme`: facet interiors, and
+    other interior and exterior points, have no cosine parametrization.
+    Accuracy degrades like ``1/|sin|`` next to saturated coordinates.
     """
     values = c.as_tuple()
     if max(abs(v) for v in values) > 1.0 + tol.eps_boundary:
         raise NotExtreme("point outside the cube")
     base = [math.acos(min(1.0, max(-1.0, v))) for v in values]
-
-    best: tuple[float, tuple[int, ...]] | None = None
-    # masks m and 15 - m negate the total, and tie as math.remainder is
-    # odd; the strict < keeps the lower one, so masks 8..15 never win
-    for mask in range(8):
-        signs = tuple(-1 if (mask >> j) & 1 else 1 for j in range(4))
-        total = sum(s * b for s, b in zip(signs, base))
-        res = _sum_residual(total)
-        if best is None or res < best[0]:
-            best = (res, signs)
-    res, signs = best
+    x = [_inverse_pushout(v, _Floats) for v in values]
+    gaps = [abs(2.0 - abs(v)) for v in _odd_sums(*x)] \
+        + [min(abs(v), 4.0 - abs(v)) for v in _two_h(*x)]
+    signs = _SIGNS[min(range(8), key=gaps.__getitem__)]
+    raw = [s * b + 0.0 for s, b in zip(signs, base)]  # no -0.0
+    total = _fold_sum(raw)
+    res = abs(math.remainder(total, TWO_PI))
     if res > tol.eps_angle:
         raise NotExtreme(
             f"no arccos sign pattern meets the sum constraint "
             f"(best residual {res:.3e})")
-    raw = [s * b for s, b in zip(signs, base)]
     # absorb the residual so the constructed tuple passes validation exactly
-    total = sum(raw)
-    shift = TWO_PI * round(total / TWO_PI)
-    raw[3] -= total - shift
+    raw[3] -= total - TWO_PI * round(total / TWO_PI)
     return AngleTuple(*raw, eps=tol.eps_angle).canonical()
 
 
@@ -528,7 +520,7 @@ def exposing_functional(t: AngleTuple) -> Functional:
     if delta >= -eps:
         raise DegenerateAngles(
             f"sine product {delta:.3e} is not strictly negative")
-    K = sum(math.cos(a) / math.sin(a) for a in t.as_tuple())
+    K = _fold_sum(math.cos(a) / math.sin(a) for a in t.as_tuple())
     if abs(K) < eps:
         raise DegenerateAngles("cotangent sum vanishes")
     f = Functional(*(1.0 / (K * s) for s in sines))
@@ -569,7 +561,7 @@ class GramSystem:
         return (self.a1, self.a2, self.b1, self.b2)
 
     def correlation(self) -> Correlation:
-        return Correlation(*(float(sum(x * y for x, y in zip(a, b)))
+        return Correlation(*(float(_fold_sum(x * y for x, y in zip(a, b)))
                              for a in (self.a1, self.a2)
                              for b in (self.b1, self.b2)))
 
@@ -603,7 +595,7 @@ def gram_vectors(comp: Completion,
     for row in zip(*columns):
         norm = math.hypot(*row)
         rows.append(tuple(x / norm for x in row))
-    if not all(abs(sum(x * y for x, y in zip(ri, rj)) - m) <= 1e-9
+    if not all(abs(_fold_sum(x * y for x, y in zip(ri, rj)) - m) <= 1e-9
                for ri, mrow in zip(rows, matrix) for rj, m in zip(rows, mrow)):
         raise ConsistencyError("Gram factorization residual exceeds 1e-9")
     return GramSystem(*rows)

@@ -399,6 +399,15 @@ def _odd_sums(c11, c12, c21, c22):
     return s0001, plus, s0100, minus
 
 
+def _fold_sum(values):
+    """``values`` added left to right from the integer 0: ``sum`` before
+    Python 3.12, which compensates float round-off, on every version."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 _REL_TOL = 1e-9  # the bound of the polynomial cross-checks below
 
 

@@ -61,6 +61,7 @@ from .core import (
     ZeroFunctional,
     dual_polys,
     dual_transform,
+    _fold_sum,
     _h,
     _h_polar,
     _k,
@@ -144,7 +145,7 @@ def quantum_case(f: Functional) -> CaseVerdict:
     m_value, margin_a, margin_b = None, -p, -p
     if p < 0.0:
         smallest = min(abs(v) for v in entries)
-        m_value = sum(smallest / abs(v) for v in entries)
+        m_value = _fold_sum(smallest / abs(v) for v in entries)
         margin_a = min(-p, m_value - 2.0)
         margin_b = min(-p, -_q(*(1.0 / v for v in entries)))
     verdict_a, verdict_b = margin_a > 0.0, margin_b > 0.0
@@ -469,7 +470,7 @@ def ncycle_residuals(c: Correlation, f: Functional) -> tuple[float, ...]:
         refl = _ideal_generators(
             dual_transform(ft, TransformDirection.FROM_DUAL),
             dual_transform(ct, TransformDirection.TO_DUAL))
-        residuals = (sum(a * b for a, b in zip(ct, ft)) - 1.0, _h(*ct),
+        residuals = (_fold_sum(a * b for a, b in zip(ct, ft)) - 1.0, _h(*ct),
                      _h_polar(*ft), *_ideal_generators(ct, ft),
                      refl[0], refl[1], refl[8])
     except OverflowError:  # float ** raises where float * gives inf

@@ -42,17 +42,13 @@ screens ``‖X‖₂²`` by the largest absolute row sum of ``X·Xᵀ``: a sum o
 at most ``1 + _SPECTRUM_TOL`` settles it, as for every involution the
 builders make.  Otherwise it counts the eigenvalues above 1 and below -1
 by inertia (:func:`boundary._count_above`).  The screen, the commutators
-and the correlations read ``psi`` and the observables zero-padded to
-``d = 4`` (as given at ``d = 4``) and evaluate straight-line sums ``0 +
-x0*y0 + x1*y1 + x2*y2 + x3*y3``, with the bits of the generic
-``sum(map(mul, x, y))``: ``sum`` adds from 0, which is +0.0 for floats,
-in index order (before Python 3.12, whose ``sum`` compensates the
-round-off); a round-to-nearest sum that starts at +0.0 is never -0.0,
-so the padded ±0.0 terms change no bit; and the screen and the
-commutators read absolute values only.  A ``model`` operation
-(:func:`build_model`, which writes its Kronecker rows directly, and
-:func:`correlations_of`) takes about 42 µs, against 115 µs with the
-generic rows (perfbench ``query``, Python 3.11).  Larger models
+and the correlations read the model zero-padded to ``d = 4``
+(:func:`_padded`) and evaluate straight-line sums ``0 + x0*y0 + x1*y1 +
+x2*y2 + x3*y3``, with the bits of :func:`_dot`, a left fold from 0
+(``core._fold_sum``; no float sum here uses the builtin ``sum``, which
+compensates the round-off from Python 3.12 on).  A ``model`` operation
+takes about 42 µs, against 115 µs with generic rows (perfbench
+``query``, Python 3.11).  Larger models
 (Clifford models of rank 3 and 4, mixtures of several components) run on
 numpy arrays.  Only :func:`mixture_model` makes arrays; every other
 builder, and :meth:`QuantumModel.from_json_dict`, makes row tuples, and
@@ -73,6 +69,7 @@ from .core import (
     Correlation,
     DimensionTooLarge,
     InvalidModel,
+    _fold_sum,
     _json_floats,
 )
 from .boundary import AngleTuple, GramSystem, _count_above
@@ -249,16 +246,17 @@ def selftest_residuals(m: QuantumModel) -> SelfTestReport:
 # ---------------------------------------------------------------------------
 
 def _dot(x, y) -> float:
-    return sum(map(mul, x, y))
+    return _fold_sum(map(mul, x, y))
 
 
 def _matvec(X, v) -> tuple[float, ...]:
-    return tuple([sum(map(mul, row, v)) for row in X])
+    return tuple([_fold_sum(map(mul, row, v)) for row in X])
 
 
 def _matmul(X, Y) -> tuple[tuple[float, ...], ...]:
     cols = tuple(zip(*Y))
-    return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in X)
+    return tuple(tuple([_fold_sum(map(mul, row, col)) for col in cols])
+                 for row in X)
 
 
 def _minus_identity(X, lam: float) -> tuple[tuple[float, ...], ...]:
@@ -283,7 +281,7 @@ def _padded(psi, obs):
     a sum that starts at +0.0 is never -0.0 under round-to-nearest, so a
     ±0.0 term changes no bit of it, and the screen and the commutators
     read absolute values only.  The zeros are integers, so that integer
-    entries keep integer sums, as with ``sum``.
+    entries keep integer sums, as with :func:`_dot`.
     """
     pad = 4 - len(psi)
     if not pad:
@@ -301,8 +299,8 @@ def _norm_screen(X) -> bool:
     mirrored) is positive semidefinite with largest eigenvalue ``‖X‖₂²``,
     which its largest absolute row sum ``m`` bounds.  An involution has
     ``S = 1`` and passes with room to spare.  Each product and row sum is
-    one straight-line expression in the order ``sum`` adds, so it has the
-    bits of ``abs(sum(map(mul, X[i], X[j])))`` up to the sign of a zero,
+    one straight-line expression in the order :func:`_dot` adds, so it has
+    the bits of ``abs(_dot(X[i], X[j]))`` up to the sign of a zero,
     which the absolute value drops; the padding adds zero rows, whose sums
     pass, and zero terms (:func:`_padded`).
 
@@ -337,8 +335,7 @@ def _norm_screen(X) -> bool:
 
 def _product(A, B) -> tuple[float, ...]:
     """The 16 entries of ``A·B`` for padded 4x4 rows, row-major, each the
-    bits of ``sum(map(mul, A[i], column j of B))`` up to the sign of a
-    zero."""
+    bits of ``_dot(A[i], column j of B)`` up to the sign of a zero."""
     (a00, a01, a02, a03), (a10, a11, a12, a13), \
         (a20, a21, a22, a23), (a30, a31, a32, a33) = A
     (b00, b01, b02, b03), (b10, b11, b12, b13), \
@@ -545,7 +542,7 @@ def _selftest_rows(psi, obs, d: int) -> SelfTestReport:
              _matmul(A2, A2))
     residual_tracial = max(
         abs(_dot(psi, _matvec(M, psi))
-            - sum(_dot(b, _matvec(M, b)) for b in basis) / r)
+            - _fold_sum(_dot(b, _matvec(M, b)) for b in basis) / r)
         for M in words)
 
     return SelfTestReport(gamma=tuple(gamma), residual_bpsi=residual_bpsi,
@@ -696,10 +693,10 @@ def mixture_model(models: Sequence[tuple[float, QuantumModel]]) -> QuantumModel:
     if not models:
         raise BadWeights("empty mixture")
     weights = [w for w, _ in models]
-    if min(weights) <= 0.0:
-        raise BadWeights(f"weights must be positive, got {weights}")
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise BadWeights(f"weights sum to {sum(weights)!r}, expected 1")
+    if not all(0.0 < w < math.inf for w in weights):
+        raise BadWeights(f"weights must be positive and finite, got {weights}")
+    if abs(_fold_sum(weights) - 1.0) > 1e-12:
+        raise BadWeights(f"weights sum to {_fold_sum(weights)!r}, expected 1")
 
     d = sum(m.d for _, m in models)
     psi = np.concatenate([math.sqrt(w) * np.asarray(m.psi, dtype=float)

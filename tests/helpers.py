@@ -6,7 +6,9 @@ collar sizes are test choices, not library tolerances.
 """
 
 import math
+from functools import reduce
 from itertools import chain, permutations, product
+from operator import add
 
 import numpy as np
 
@@ -14,6 +16,8 @@ from qbody import (
     DEFAULT_TOLERANCE,
     AngleTuple,
     Correlation,
+    NotExtreme,
+    Stratum,
     DualCompletion,
     Functional,
     Oracle,
@@ -83,6 +87,66 @@ def tetra_angles(rng: np.random.Generator, n: int, collar: float = 0.05,
                 continue
         out.append(t)
     return out
+
+
+def sine_rule_stratum(t: AngleTuple) -> Stratum:
+    """The stratum of an angle tuple by the sign of its sine product and
+    the count of angles that are multiples of π, both at ``t.eps``: the
+    rule ``extreme_from_angles`` used before it read the face of ``CL``."""
+    eps = t.eps
+    sines = t.sines()
+    delta = t.delta_product()
+    if delta < -eps:
+        return Stratum.Q4
+    if delta > eps:
+        return Stratum.Q6
+    multiples = sum(1 for s in sines if abs(s) <= eps)
+    if multiples >= 3:
+        # the sum constraint forces the fourth to be a multiple as well
+        return Stratum.Q1
+    if multiples == 2:
+        return Stratum.Q2
+    if multiples == 1:
+        return Stratum.Q3
+    return Stratum.Q4 if delta < 0.0 else Stratum.Q6
+
+
+def _left_sum(values) -> float:
+    """``values`` added left to right from 0, as ``sum`` did before
+    Python 3.12."""
+    return reduce(add, values, 0)
+
+
+def angles_by_search(c: Correlation,
+                     tol: Tolerance = DEFAULT_TOLERANCE) -> AngleTuple:
+    """The canonical angle tuple of ``c`` by a search of the eight arccos
+    sign patterns, up to overall negation, for the least sum residual:
+    the rule ``angles_from_point`` used before it read the CHSH face."""
+    values = c.as_tuple()
+    if max(abs(v) for v in values) > 1.0 + tol.eps_boundary:
+        raise NotExtreme("point outside the cube")
+    base = [math.acos(min(1.0, max(-1.0, v))) for v in values]
+
+    best = None
+    # masks m and 15 - m negate the total, and tie as math.remainder is
+    # odd; the strict < keeps the lower one, so masks 8..15 never win
+    for mask in range(8):
+        signs = tuple(-1 if (mask >> j) & 1 else 1 for j in range(4))
+        total = _left_sum(s * b for s, b in zip(signs, base))
+        res = abs(math.remainder(total, 2.0 * math.pi))
+        if best is None or res < best[0]:
+            best = (res, signs)
+    res, signs = best
+    if res > tol.eps_angle:
+        raise NotExtreme(
+            f"no arccos sign pattern meets the sum constraint "
+            f"(best residual {res:.3e})")
+    raw = [s * b for s, b in zip(signs, base)]
+    # absorb the residual so the constructed tuple passes validation exactly
+    total = _left_sum(raw)
+    shift = 2.0 * math.pi * round(total / (2.0 * math.pi))
+    raw[3] -= total - shift
+    return AngleTuple(*raw, eps=tol.eps_angle).canonical()
 
 
 def face_of(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE):

@@ -35,12 +35,14 @@ from helpers import (
     CHSH_ANGLES,
     CHSH_POINT,
     SQRT2,
+    angles_by_search,
     deep_interior_point,
     face_of,
     q1_point,
     q2_point,
     q3_point,
     q5_point,
+    sine_rule_stratum,
     tetra_angles,
 )
 
@@ -153,6 +155,23 @@ def _group_image(draw):
 
 
 @st.composite
+def _eps_tuple(draw):
+    """An angle tuple at one of four ``eps``, with angles from ``_ANGLE``
+    or within a few ``eps`` of a multiple of π, and ``delta`` off the
+    negated sum by up to ``eps``; None if its sum misses at ``eps``."""
+    eps = draw(st.sampled_from([1e-9, 1e-8, 1e-7, 1e-6]))
+    near = st.builds(lambda base, k: base + k * eps,
+                     st.sampled_from([0.0, math.pi, -math.pi]),
+                     st.floats(-3.0, 3.0))
+    a, b, g = draw(st.tuples(*[st.one_of(_ANGLE, near)] * 3))
+    offset = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+    try:
+        return AngleTuple(a, b, g, -(a + b + g) + offset * eps, eps=eps)
+    except AngleSumViolation:
+        return None
+
+
+@st.composite
 def _facet_point(draw):
     """A point with one entry of modulus 1, the float below 1 or just
     above 1, inside or outside its facet's elliptope."""
@@ -185,7 +204,39 @@ class TestFaceKernel:
         assert columns.tolist() == [_face(*c, eps, _Floats) for c in points]
 
 
+def _distance_from_junction(theta: float) -> mpmath.mpf:
+    """The distance of the float ``theta`` from the nearest multiple of π,
+    in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        v = mpmath.mpf(theta)
+        return abs(v - mpmath.pi * mpmath.nint(v / mpmath.pi))
+
+
+def _in_angle_band(t: AngleTuple) -> bool:
+    """Whether ``t`` lies in the band of :func:`extreme_from_angles` where
+    the face rule may differ from the sine rule: an angle, with delta as
+    given or re-derived, within 2e-15 of ``t.eps`` from a multiple of π,
+    or delta given and re-derived on either side of ``t.eps``."""
+    a, b, g, d = t.as_tuple()
+    dist = [_distance_from_junction(v) for v in (a, b, g, d, -(a + b + g))]
+    return any(abs(x - t.eps) <= 2e-15 for x in dist) \
+        or (dist[3] <= t.eps) != (dist[4] <= t.eps)
+
+
 class TestExtremeFromAngles:
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(_eps_tuple())
+    def test_face_rule_is_the_sine_rule_outside_the_band(self, t):
+        assume(t is not None and not _in_angle_band(t))
+        assert extreme_from_angles(t).stratum is sine_rule_stratum(t)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
+    def test_eps_must_be_positive_and_finite(self, bad):
+        # a NaN eps compares false with every residual, an infinite one
+        # admits every sum
+        with pytest.raises(ValueError, match="eps must be positive"):
+            AngleTuple(0.5, 0.5, 0.5, 0.5, eps=bad)
+
     def test_maximal_violation_angles(self):
         result = extreme_from_angles(CHSH_ANGLES)
         assert result.stratum is Stratum.Q4
@@ -255,6 +306,42 @@ class TestExtremeFromAngles:
 
 
 class TestAnglesFromPoint:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(_group_image())
+    def test_face_signs_agree_with_the_search(self, point):
+        c = Correlation(*point)
+        eps = DEFAULT_TOLERANCE.eps_angle
+        base = [math.acos(min(1.0, max(-1.0, v))) for v in c]
+        residuals = sorted(
+            abs(math.remainder(sum(s * b for s, b in zip(signs, base)),
+                               2 * math.pi))
+            for signs in product((1, -1), (1, -1), (1, -1), (1,)))
+        # the least residual within round-off of eps may fall either way
+        assume(abs(residuals[0] - eps) > 1e-15)
+        try:
+            expected = repr(angles_by_search(c))
+        except NotExtreme as exc:
+            expected = repr(exc)
+        try:
+            got = angles_from_point(c)
+        except NotExtreme as exc:
+            got = exc
+        if residuals[1] > residuals[0] + 1e-9:
+            assert repr(got) == expected
+        elif expected.startswith("NotExtreme"):
+            assert isinstance(got, NotExtreme)
+        else:
+            # sign patterns tie where a flip keeps the sum: an entry at ±1
+            # (the junctions Q1–Q3) or two entries of one modulus.  The
+            # pick may give another sign of a zero angle, other last bits
+            # of delta or another tied tuple: an inverse all the same
+            a, b, g, d = got.as_tuple()
+            assert abs(math.remainder(a + b + g + d, 2 * math.pi)) <= eps
+            # delta absorbed a residual of at most eps
+            assert max(abs(x - y) for x, y in
+                       zip(got.cosines().as_tuple(), c.as_tuple())) \
+                <= eps + 1e-15
+
     def test_maximal_violation_point(self):
         t = angles_from_point(CHSH_POINT)
         assert np.allclose(t.as_tuple(), CHSH_ANGLES.as_tuple(), atol=1e-12)

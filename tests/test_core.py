@@ -16,7 +16,7 @@ from qbody import (
     primal_polys,
     symmetry_group,
 )
-from qbody.core import _assert_close, _g, _h, _h_squared, _two_h
+from qbody.core import _assert_close, _fold_sum, _g, _h, _h_squared, _two_h
 
 from helpers import (CHSH_POINT, EVEN_VERTEX_TUPLES, HADAMARD, SQRT2, TWO_H,
                      group_matrices, q2_point)
@@ -275,6 +275,14 @@ class TestOrbit:
         points = orbit(Correlation(1, 1, 1, 1))
         got = {tuple(int(round(v)) for v in p.as_tuple()) for p in points}
         assert got == set(EVEN_VERTEX_TUPLES)
+
+
+class TestFoldSum:
+    def test_adds_left_to_right_from_zero(self):
+        # the builtin sum of Python 3.12 on compensates: 1.0 here
+        assert _fold_sum([1e17, 1.0, -1e17]) == 0.0
+        assert math.copysign(1.0, _fold_sum([-0.0])) == 1.0
+        assert _fold_sum([2, 3]) == 5 and isinstance(_fold_sum([2, 3]), int)
 
 
 class TestTolerance:

@@ -411,6 +411,12 @@ class TestNcycleResiduals:
                                      Functional(0, 0, 0, 0))
         assert residuals[0] == -1.0
 
+    def test_incidence_is_a_left_fold(self):
+        # 1e17 + 1 rounds to 1e17; a compensated sum would keep the 1
+        residuals = ncycle_residuals(Correlation(1, 1, 1, 0),
+                                     Functional(1e17, 1.0, -1e17, 0.0))
+        assert residuals[0] == -1.0
+
 
 class TestCaseSplitEdges:
     def test_no_spurious_disagreement_near_case_surfaces(self):

@@ -257,6 +257,20 @@ class TestMixtureModel:
         with pytest.raises(BadWeights):
             mixture_model([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # NaN compares false with both weight bounds
+        model = build_model(CHSH_ANGLES)
+        with pytest.raises(BadWeights, match="positive and finite"):
+            mixture_model([(bad, model), (1.0, model)])
+
+    def test_row_sums_are_left_folds(self):
+        # from Python 3.12 the builtin sum compensates and gives 1.0 here
+        assert quantum._dot((1e17, 1.0, -1e17), (1.0, 1.0, 1.0)) == 0.0
+        assert quantum._matvec(((1e17, 1.0, -1e17),), (1.0,) * 3) == (0.0,)
+        assert quantum._matmul(((1e17, 1.0, -1e17),),
+                               ((1.0,),) * 3) == ((0.0,),)
+
 
 class TestAngleValidation:
     def test_bad_sum_rejected(self):
