@@ -27,17 +27,17 @@ stratum:
     stratum   Q1  Q2  Q3  Q4  Q5        (Q6 = interior)
     rank C     1   2   2   2   3        (Q6 admits rank 4)
 
-The pushout ``c = sin((π/2)·x)`` carries ``CL`` onto ``Q`` with its faces:
-a stratum is the face of ``CL`` that holds ``x``, with a slack in ``x``
-(:func:`_pushout_face`).  Three or four cube-active ``|x_ij| = 1`` give
-Q1, two Q2, one Q3 on a CHSH face (an odd half of ``x`` at 1) and Q5 off
-it, none Q4 on a CHSH face and Q6 off it.  Angle tuples ``(alpha, beta,
-gamma, delta)`` with sum ≡ 0 (mod 2π) give ``c = (cos alpha, ..., cos
-delta)``, whose pushout is ``x = 1 - 2|θ|/π`` (angles reduced mod 2π), as
-``asin(cos θ) = π/2 - |θ|`` for ``|θ| ≤ π``; the slack map ``ε ↦ 2ε/π``
-makes an angle cube-active within ``ε`` of a multiple of π.  ``g(c) =
-2·Delta``, ``Delta`` the product of the four sines: negative on Q4,
-positive on interior tuples, zero on Q1–Q3.
+The pushout ``c = sin((π/2)·x)`` carries ``CL`` onto ``Q`` with its faces,
+and a stratum is the face of ``CL`` that holds ``x`` (:func:`_face`):
+three or four cube-active ``|x_ij| = 1`` give Q1, two Q2, one Q3 on a
+CHSH face (an odd half of ``x`` at 1) and Q5 off it, none Q4 on a CHSH
+face and Q6 off it.  Angle tuples ``(alpha, beta, gamma, delta)`` with
+sum ≡ 0 (mod 2π) give ``c = (cos alpha, ..., cos delta)``, whose pushout
+is ``x = 1 - 2|θ|/π`` for angles in ``[-π, π]``.  So an angle at a
+multiple of π (sine at most ``ε`` at a tolerance ``ε``) is cube-active, and
+off these junctions the pushout is on a CHSH face iff ``Delta``, the
+product of the four sines, is negative (Q4; positive is Q6); ``g(c) =
+2·Delta``.
 
 A Q4 point is exposed by the unique functional
 
@@ -156,7 +156,8 @@ class AngleTuple:
 
     def delta_product(self) -> float:
         """The sign marker ``Delta``, the product of the four sines."""
-        return math.prod(self.sines())
+        s = self.sines()
+        return s[0] * s[1] * s[2] * s[3]
 
     def cosines(self) -> Correlation:
         return Correlation(*(math.cos(t) for t in self.as_tuple()))
@@ -388,31 +389,29 @@ _FACES = (Stratum.Q6, Stratum.Q4, Stratum.Q5, Stratum.Q3,
           Stratum.Q2, Stratum.Q2, Stratum.Q1, Stratum.Q1, Stratum.EXTERIOR)
 
 
-def _pushout_face(x, eps, xp):
-    """The ``_FACES`` index of the face of ``CL`` holding ``x``, ``eps`` a
-    slack in ``x``: EXTERIOR if an odd half exceeds ``1 + eps``, else by
-    the count of cube-active ``|x_ij| ≥ 1 - eps`` and whether an odd half
-    (a CHSH face) is at least ``1 - eps``.  A column kernel (:mod:`core`)."""
+def _face(a, b, c, d, eps, xp):
+    """The ``_FACES`` index of the face of ``CL`` that holds the inverse
+    pushout ``x = (2/π)·asin(c)``, with ``eps`` a slack in ``x``: EXTERIOR
+    if ``|c_ij| > 1 + eps`` or an odd half of ``x`` exceeds ``1 + eps``,
+    else by the count of cube-active ``|x_ij| ≥ 1 - eps`` and whether an
+    odd half (a CHSH face) is at least ``1 - eps``.  A column kernel (see
+    :mod:`qbody.core`).
+    """
+    x = [_inverse_pushout(v, xp) for v in (a, b, c, d)]
     odd = _odd_max(*x, xp)
     cube = sum(abs(v) >= 1.0 - eps for v in x)
     face = 2 * xp.minimum(cube, 3) + (odd >= 1.0 - eps)
-    return xp.maximum(face, 8 * (odd > 1.0 + eps))
-
-
-def _face(a, b, c, d, eps, xp):
-    """:func:`_pushout_face` of the inverse pushout ``x = (2/π)·asin(c)``,
-    and EXTERIOR also if ``|c_ij| > 1 + eps``.  A column kernel."""
-    face = _pushout_face([_inverse_pushout(v, xp) for v in (a, b, c, d)],
-                         eps, xp)
-    return xp.maximum(face, 8 * (_max_abs(a, b, c, d, xp) > 1.0 + eps))
+    outside = (_max_abs(a, b, c, d, xp) > 1.0 + eps) | (odd > 1.0 + eps)
+    return xp.maximum(face, 8 * outside)
 
 
 def classify(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE) -> Stratum:
     """Assign ``c`` to a stratum Q1..Q6 or EXTERIOR.
 
-    The stratum is the face of ``CL`` that holds the inverse pushout
-    (:func:`_face` at ``eps = tol.eps_boundary``; see the module
-    docstring).
+    The stratum is the face of the cross polytope ``CL`` that holds the
+    inverse pushout (:func:`_face` at ``eps = tol.eps_boundary``): three
+    or four cube-active coordinates give Q1, two Q2, one Q3 with a CHSH
+    face and Q5 without, none Q4 with a CHSH face and Q6 without.
 
     Float floor: near ``|c| = 1``, ``x`` resolves only to about
     ``(2/π)·sqrt(2·(1 - |c|))``, 9.5e-9 for ``1 - 2⁻⁵³``.  So at the
@@ -448,27 +447,24 @@ class ExtremePoint:
     stratum: Stratum
 
 
-# the sign patterns of the odd and even sums, read off the unit vectors
-_SIGNS = tuple(zip(*(_odd_sums(*row) + _two_h(*row) for row in
-                     ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
-                      (0, 0, 0, 1)))))
+# The arccos sign patterns ``s``, ``s_j = -1`` for bit j of the masks
+# 0..7, each with the index of ``±s·x`` among the odd and even sums of x.
+_PATTERNS = tuple((tuple(1 - 2 * (m >> j & 1) for j in range(4)), k)
+                  for m, k in enumerate((4, 3, 2, 6, 1, 5, 7, 0)))
+# A gap is its pattern's sum residual over π/2 up to a round-off below
+# 1e-14: a pattern that may have the least residual has a gap this close.
+_TIED_GAP = 1e-12
 
 
 def extreme_from_angles(t: AngleTuple) -> ExtremePoint:
     """Map an angle tuple to its correlation point and stratum.
 
     The stratum is the face of the tuple's pushout (module docstring) at
-    the slack ``2·t.eps/π``, ``delta`` re-derived as ``-(alpha + beta +
-    gamma)``.  It is the stratum of the sine product's sign and the count
-    of multiples of π at ``t.eps`` outside a band: an angle (``delta``
-    given or re-derived) within 2e-15 of ``t.eps`` from a multiple of π, a
-    given ``delta`` across ``t.eps`` from the re-derived one, and below
-    ``t.eps`` ≈ 1e-15 all of Q4.
+    the tuple's own ``t.eps``.  As ``|Delta|`` is at most the least sine,
+    ``Delta < -t.eps`` gives Q4 and ``Delta > t.eps`` gives Q6.
     """
-    a, b, g, _ = t.as_tuple()
-    x = [1.0 - 4.0 * abs(math.remainder(v, TWO_PI)) / TWO_PI
-         for v in (a, b, g, -(a + b + g))]
-    face = _pushout_face(x, 4.0 * t.eps / TWO_PI, _Floats)
+    cube = sum([abs(s) <= t.eps for s in t.sines()])
+    face = 2 * min(cube, 3) + (cube > 0 or t.delta_product() < 0.0)
     return ExtremePoint(c=t.cosines(), stratum=_FACES[face])
 
 
@@ -476,33 +472,37 @@ def angles_from_point(c: Correlation,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> AngleTuple:
     """Recover the canonical angle tuple of an extreme-stratum point.
 
-    For the inverse pushout ``x = (2/π)·asin(c) = 1 - (2/π)·acos(c)``, a
-    sign pattern ``s`` gives ``Σ s_ij·acos(c_ij) = (π/2)·(Σs - s·x)``, so
-    the odd sums of ``x`` (±2 on a CHSH face) and its even sums (0 or ±4 at
-    the cosines of an interior tuple) give every pattern's sum residual;
-    the least is taken, the first on ties.  Above ``tol.eps_angle``, the
-    tuple's ``eps``, it raises :class:`NotExtreme`: facet interiors, and
-    other interior and exterior points, have no cosine parametrization.
+    Takes the arccos sign pattern, up to overall negation, of the least sum
+    residual, the first in mask order on ties (:data:`_PATTERNS`).  For
+    ``x = 1 - (2/π)·acos(c)``, a pattern ``s`` gives ``Σ s_ij·acos(c_ij) =
+    (π/2)·(Σs - s·x)``, so the odd and even sums of ``x`` give every
+    residual to round-off, and only patterns within :data:`_TIED_GAP` of
+    the least have theirs summed.  Above ``tol.eps_angle``, the tuple's
+    ``eps``, it raises :class:`NotExtreme`: facet interiors, and other
+    interior and exterior points, have no cosine parametrization.
     Accuracy degrades like ``1/|sin|`` next to saturated coordinates.
     """
     values = c.as_tuple()
     if max(abs(v) for v in values) > 1.0 + tol.eps_boundary:
         raise NotExtreme("point outside the cube")
     base = [math.acos(min(1.0, max(-1.0, v))) for v in values]
-    x = [_inverse_pushout(v, _Floats) for v in values]
-    gaps = [abs(2.0 - abs(v)) for v in _odd_sums(*x)] \
-        + [min(abs(v), 4.0 - abs(v)) for v in _two_h(*x)]
-    signs = _SIGNS[min(range(8), key=gaps.__getitem__)]
-    raw = [s * b + 0.0 for s, b in zip(signs, base)]  # no -0.0
-    total = _fold_sum(raw)
-    res = abs(math.remainder(total, TWO_PI))
+    x = [1.0 - b * (2.0 / math.pi) for b in base]
+    sums = _odd_sums(*x) + _two_h(*x)
+    gaps = [abs(2.0 - abs(v)) for v in sums[:4]] \
+        + [min(abs(v), 4.0 - abs(v)) for v in sums[4:]]
+    tied = min(gaps) + _TIED_GAP
+    raws = [[s * b for s, b in zip(signs, base)]
+            for signs, k in _PATTERNS if gaps[k] <= tied]
+    totals = [_fold_sum(raw) for raw in raws]
+    res, i = min((abs(math.remainder(t, TWO_PI)), i)
+                 for i, t in enumerate(totals))
     if res > tol.eps_angle:
         raise NotExtreme(
             f"no arccos sign pattern meets the sum constraint "
             f"(best residual {res:.3e})")
     # absorb the residual so the constructed tuple passes validation exactly
-    raw[3] -= total - TWO_PI * round(total / TWO_PI)
-    return AngleTuple(*raw, eps=tol.eps_angle).canonical()
+    raws[i][3] -= totals[i] - TWO_PI * round(totals[i] / TWO_PI)
+    return AngleTuple(*raws[i], eps=tol.eps_angle).canonical()
 
 
 def exposing_functional(t: AngleTuple) -> Functional:

@@ -91,8 +91,9 @@ def tetra_angles(rng: np.random.Generator, n: int, collar: float = 0.05,
 
 def sine_rule_stratum(t: AngleTuple) -> Stratum:
     """The stratum of an angle tuple by the sign of its sine product and
-    the count of angles that are multiples of π, both at ``t.eps``: the
-    rule ``extreme_from_angles`` used before it read the face of ``CL``."""
+    the count of angles that are multiples of π, both at ``t.eps``, as a
+    branch table: the reference that ``extreme_from_angles``, which reads
+    the same through the face table, must reproduce."""
     eps = t.eps
     sines = t.sines()
     delta = t.delta_product()
@@ -120,8 +121,10 @@ def _left_sum(values) -> float:
 def angles_by_search(c: Correlation,
                      tol: Tolerance = DEFAULT_TOLERANCE) -> AngleTuple:
     """The canonical angle tuple of ``c`` by a search of the eight arccos
-    sign patterns, up to overall negation, for the least sum residual:
-    the rule ``angles_from_point`` used before it read the CHSH face."""
+    sign patterns, up to overall negation, for the least sum residual,
+    the first on ties: the reference that ``angles_from_point``, which
+    sums only the patterns the odd and even sums of the pushout leave
+    tied, must reproduce bit for bit."""
     values = c.as_tuple()
     if max(abs(v) for v in values) > 1.0 + tol.eps_boundary:
         raise NotExtreme("point outside the cube")

@@ -28,8 +28,8 @@ from qbody import (
     solve_completion,
     symmetry_group,
 )
-from qbody.boundary import Completion, _face
-from qbody.core import _Floats
+from qbody.boundary import _PATTERNS, Completion, _face
+from qbody.core import _Floats, _odd_sums, _two_h
 
 from helpers import (
     CHSH_ANGLES,
@@ -156,10 +156,10 @@ def _group_image(draw):
 
 @st.composite
 def _eps_tuple(draw):
-    """An angle tuple at one of four ``eps``, with angles from ``_ANGLE``
+    """An angle tuple at one of six ``eps``, with angles from ``_ANGLE``
     or within a few ``eps`` of a multiple of π, and ``delta`` off the
     negated sum by up to ``eps``; None if its sum misses at ``eps``."""
-    eps = draw(st.sampled_from([1e-9, 1e-8, 1e-7, 1e-6]))
+    eps = draw(st.sampled_from([1e-16, 1e-12, 1e-9, 1e-8, 1e-7, 1e-6]))
     near = st.builds(lambda base, k: base + k * eps,
                      st.sampled_from([0.0, math.pi, -math.pi]),
                      st.floats(-3.0, 3.0))
@@ -204,31 +204,21 @@ class TestFaceKernel:
         assert columns.tolist() == [_face(*c, eps, _Floats) for c in points]
 
 
-def _distance_from_junction(theta: float) -> mpmath.mpf:
-    """The distance of the float ``theta`` from the nearest multiple of π,
-    in 50-digit arithmetic."""
-    with mpmath.workdps(50):
-        v = mpmath.mpf(theta)
-        return abs(v - mpmath.pi * mpmath.nint(v / mpmath.pi))
-
-
-def _in_angle_band(t: AngleTuple) -> bool:
-    """Whether ``t`` lies in the band of :func:`extreme_from_angles` where
-    the face rule may differ from the sine rule: an angle, with delta as
-    given or re-derived, within 2e-15 of ``t.eps`` from a multiple of π,
-    or delta given and re-derived on either side of ``t.eps``."""
-    a, b, g, d = t.as_tuple()
-    dist = [_distance_from_junction(v) for v in (a, b, g, d, -(a + b + g))]
-    return any(abs(x - t.eps) <= 2e-15 for x in dist) \
-        or (dist[3] <= t.eps) != (dist[4] <= t.eps)
-
-
 class TestExtremeFromAngles:
     @settings(max_examples=1500, deadline=None, derandomize=True)
     @given(_eps_tuple())
-    def test_face_rule_is_the_sine_rule_outside_the_band(self, t):
-        assume(t is not None and not _in_angle_band(t))
+    def test_face_table_gives_the_sine_rule(self, t):
+        assume(t is not None)
         assert extreme_from_angles(t).stratum is sine_rule_stratum(t)
+
+    def test_generic_q4_at_a_tiny_eps(self):
+        # at eps = 1e-16 the odd half of the pushout 1 - 2|θ|/π misses 1 by
+        # more than the slack 2·eps/π, so a face read there answered Q6
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            a, b, g = rng.uniform(0.1, 1.0, 3)
+            t = AngleTuple(a, b, g, -(a + b + g), eps=1e-16)
+            assert extreme_from_angles(t).stratum is Stratum.Q4
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
     def test_eps_must_be_positive_and_finite(self, bad):
@@ -308,39 +298,43 @@ class TestExtremeFromAngles:
 class TestAnglesFromPoint:
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(_group_image())
-    def test_face_signs_agree_with_the_search(self, point):
+    def test_face_gaps_give_the_search(self, point):
         c = Correlation(*point)
-        eps = DEFAULT_TOLERANCE.eps_angle
-        base = [math.acos(min(1.0, max(-1.0, v))) for v in c]
-        residuals = sorted(
-            abs(math.remainder(sum(s * b for s, b in zip(signs, base)),
-                               2 * math.pi))
-            for signs in product((1, -1), (1, -1), (1, -1), (1,)))
-        # the least residual within round-off of eps may fall either way
-        assume(abs(residuals[0] - eps) > 1e-15)
-        try:
-            expected = repr(angles_by_search(c))
-        except NotExtreme as exc:
-            expected = repr(exc)
-        try:
-            got = angles_from_point(c)
-        except NotExtreme as exc:
-            got = exc
-        if residuals[1] > residuals[0] + 1e-9:
-            assert repr(got) == expected
-        elif expected.startswith("NotExtreme"):
-            assert isinstance(got, NotExtreme)
-        else:
-            # sign patterns tie where a flip keeps the sum: an entry at ±1
-            # (the junctions Q1–Q3) or two entries of one modulus.  The
-            # pick may give another sign of a zero angle, other last bits
-            # of delta or another tied tuple: an inverse all the same
-            a, b, g, d = got.as_tuple()
-            assert abs(math.remainder(a + b + g + d, 2 * math.pi)) <= eps
-            # delta absorbed a residual of at most eps
-            assert max(abs(x - y) for x, y in
-                       zip(got.cosines().as_tuple(), c.as_tuple())) \
-                <= eps + 1e-15
+        for eps in (1e-9, 1e-6):
+            tol = Tolerance(eps_angle=eps)
+            try:
+                expected = repr(angles_by_search(c, tol))
+            except NotExtreme as exc:
+                expected = repr(exc)
+            try:
+                got = repr(angles_from_point(c, tol))
+            except NotExtreme as exc:
+                got = repr(exc)
+            assert got == expected
+
+    @pytest.mark.parametrize("sampler", [q1_point, q2_point, q3_point])
+    def test_junctions_give_the_search(self, sampler):
+        # an entry at ±1 ties two sign patterns, and round-off picks one
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            c = sampler(rng)
+            assert repr(angles_from_point(c)) == repr(angles_by_search(c))
+
+    def test_patterns_index_their_sums(self):
+        # powers of ten give every pattern its own |s·x|
+        x = (1, 10, 100, 1000)
+        sums = _odd_sums(*x) + _two_h(*x)
+        assert sorted(k for _, k in _PATTERNS) == list(range(8))
+        for signs, k in _PATTERNS:
+            assert abs(sums[k]) == abs(sum(s * v for s, v in zip(signs, x)))
+
+    def test_tied_patterns_pick_as_the_search(self):
+        # four patterns meet the sum within 1.8e-9: their residuals tie
+        # exactly and the first mask wins, where the least gap is another
+        c = Correlation(-1.0, 1.0, 0.999999999999998, -0.9999999999999979)
+        t = angles_from_point(c, Tolerance(eps_angle=1e-6))
+        assert t.as_tuple() == (math.pi, 0.0, 6.322027276634106e-08,
+                                3.1415925903695205)
 
     def test_maximal_violation_point(self):
         t = angles_from_point(CHSH_POINT)
