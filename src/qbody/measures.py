@@ -7,18 +7,14 @@ Results are therefore a deterministic function of ``(seed, samples)``
 alone.  Rejection samplers consume whole blocks until enough points are
 accepted and then truncate, which keeps them inside the same contract.
 
-:func:`mc_volume` counts the hits of each block, and when there are two
-or more blocks it counts them on two threads, the caller and one helper,
-which take block indices in turn from a shared counter.  Each block is
-drawn from its own stream whichever thread takes it, and the total is a
-sum of integer counts, so the estimate is still a function of
-``(seed, samples)`` alone.  The counts decide membership with fewer
-operations than the margins of :mod:`qbody.membership` and agree with
-them bit for bit: cube draws lie in ``[-1, 1)``, so the cube slack is
-``≥ 0`` and no kernel meets a NaN; a draw is in Q exactly when ``g ≥ 0``
-or ``h ≥ 0``, so ``h`` is evaluated only where ``g < 0``; and in CL
-exactly when the largest odd half ``m`` has ``m ≤ 1``, as its margin
-``fl(1 - m) ≥ 0`` does.
+:func:`mc_volume` counts the hits of each block in turn and sums the
+integer counts.  The counts decide membership with fewer operations than
+the margins of :mod:`qbody.membership` and agree with them bit for bit:
+cube draws lie in ``[-1, 1)``, so the cube slack is ``≥ 0`` and no
+kernel meets a NaN; a draw is in Q exactly when ``g ≥ 0`` or ``h ≥ 0``,
+so ``h`` is evaluated only where ``g < 0``; and in CL exactly when the
+largest odd half ``m`` has ``m ≤ 1``, as its margin ``fl(1 - m) ≥ 0``
+does.
 
 Cube draws come from :func:`_cube_draws`, ``random`` mapped in place by
 ``*= 2; -= 1``: the bits and generator state of ``uniform(-1, 1)``.
@@ -40,9 +36,7 @@ strata so every emitted point classifies unambiguously.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence, TextIO
 
@@ -139,56 +133,6 @@ def _count_inside(body: Body, pts: np.ndarray) -> int:
     return int((_by_blocks(_g, pts, 1.0) >= 0.0).sum())
 
 
-def _sum_over_blocks(count, blocks: int) -> int:
-    """``sum(count(b) for b in range(blocks))``, on two threads if there
-    are two or more blocks.
-
-    The caller and one helper thread take block indices from one shared
-    counter until they run out; the draws and the numpy kernels release
-    the GIL.  ``count`` must call no public qbody function, since the
-    tracer of ``perfbench`` keeps one span stack for all threads.  The
-    helper is always joined before this returns, and an exception it
-    raised is raised again here.  ``np.errstate``, which ``_by_blocks``
-    sets, may be shared between threads on numpy < 2.0; cube draws raise
-    no floating-point flags, so that cannot change a count, and it needs
-    no lock.
-    """
-    if blocks == 1:
-        return count(0)
-    order = itertools.count()
-    helper_total: list[int] = []
-    failed: list[BaseException] = []
-
-    def work() -> int:
-        total = 0
-        # next() on an itertools.count is one C call under the GIL, so
-        # no index is handed out twice
-        for block in order:
-            if block >= blocks or failed:
-                break
-            total += count(block)
-        return total
-
-    def helper() -> None:
-        try:
-            helper_total.append(work())
-        except BaseException as exc:
-            failed.append(exc)
-
-    thread = threading.Thread(target=helper, name="qbody-mc-volume")
-    thread.start()
-    try:
-        total = work()
-    except BaseException as exc:
-        failed.append(exc)
-        raise
-    finally:
-        thread.join()
-    if failed:
-        raise failed[0]
-    return total + helper_total[0]
-
-
 def mc_volume(body: Body, cfg: SamplerConfig) -> VolumeEstimate:
     """Fraction of uniform ambient-cube samples that land in the body."""
     dim = 3 if body is Body.ELLIPTOPE3 else 4
@@ -198,7 +142,7 @@ def mc_volume(body: Body, cfg: SamplerConfig) -> VolumeEstimate:
         pts = _cube_draws(_block_rng(cfg.seed, block), (n, dim))
         return _count_inside(body, pts)
 
-    hits = _sum_over_blocks(count, -(-cfg.samples // _BLOCK))
+    hits = sum(map(count, range(-(-cfg.samples // _BLOCK))))
     fraction = hits / cfg.samples
     stderr = math.sqrt(fraction * (1.0 - fraction) / cfg.samples)
     return VolumeEstimate(fraction=fraction, stderr=stderr)

@@ -237,8 +237,8 @@ def selftest_residuals(m: QuantumModel) -> SelfTestReport:
     off-manifold models yield informative residuals instead of errors.
     """
     if m.d <= _SMALL_D:
-        return _selftest_rows(*_checked_rows(m), m.d)
-    return _selftest_arrays(*_checked_arrays(m), m.d)
+        return _selftest_rows(*_checked_rows(m))
+    return _selftest_arrays(*_checked_arrays(m))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +491,8 @@ def _hestenes(vectors) -> tuple[list[list[float]], list[list[float]]]:
         f"Jacobi SVD did not converge in {_JACOBI_SWEEPS} sweeps")
 
 
-def _selftest_rows(psi, obs, d: int) -> SelfTestReport:
+def _selftest_rows(psi, obs) -> SelfTestReport:
+    d = len(psi)
     A1, A2, B1, B2 = obs
     # the cyclic basis: left singular vectors of the d x 85 word stack
     vectors = [psi]
@@ -605,7 +606,7 @@ def _cyclic_basis(psi, obs) -> np.ndarray:
     return u[:, keep]
 
 
-def _selftest_arrays(psi, obs, d: int) -> SelfTestReport:
+def _selftest_arrays(psi, obs) -> SelfTestReport:
     import numpy as np
     A1, A2, B1, B2 = obs
     basis = _cyclic_basis(psi, obs)
@@ -624,7 +625,7 @@ def _selftest_arrays(psi, obs, d: int) -> SelfTestReport:
         residual_bpsi = max(residual_bpsi,
                             float(np.linalg.norm(target - a_vecs @ coeff)))
 
-    eye = np.eye(d)
+    eye = np.eye(len(psi))
     residual_squares = max(
         float(np.abs(restrict(X @ X - eye)).max()) for X in obs)
 

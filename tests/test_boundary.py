@@ -1,4 +1,5 @@
 import math
+import struct
 from itertools import product
 
 import mpmath
@@ -47,6 +48,26 @@ from helpers import (
 )
 
 
+def _least_float(holds, lo: float, hi: float) -> float:
+    """The least float in ``(lo, hi]`` at which ``holds``, by bisection on
+    the bits of nonnegative floats, for a predicate that is false at
+    ``lo`` (never called there), true at ``hi`` and monotone between."""
+    def bits(v: float) -> int:
+        return struct.unpack("<q", struct.pack("<d", v))[0]
+
+    def value(b: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", b))[0]
+
+    lo_bits, hi_bits = bits(lo), bits(hi)
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        if holds(value(mid)):
+            hi_bits = mid
+        else:
+            lo_bits = mid
+    return value(hi_bits)
+
+
 class TestSolveCompletion:
     def test_boundary_point_unique_rank2(self):
         result = solve_completion(CHSH_POINT)
@@ -85,6 +106,18 @@ class TestSolveCompletion:
         for t in tetra_angles(rng, 100):
             boundary = extreme_from_angles(t).c
             assert solve_completion(boundary).unique
+
+    def test_feasible_at_a_margin_of_exactly_minus_eps(self):
+        # just past the Tsirelson point: the margin is about -5.3e-4
+        c = Correlation(0.7072, 0.7072, 0.7072, -0.7072)
+        margin = member(c, Oracle.COMPLETION).margin
+        assert margin < 0.0
+        edge = Tolerance(eps_boundary=-margin)
+        tighter = Tolerance(eps_boundary=math.nextafter(-margin, 0.0))
+        assert solve_completion(c, edge).feasible
+        assert member(c, Oracle.COMPLETION, edge).inside
+        assert not solve_completion(c, tighter).feasible
+        assert not member(c, Oracle.COMPLETION, tighter).inside
 
 
 class TestClassify:
@@ -347,6 +380,36 @@ class TestAnglesFromPoint:
     def test_facet_interior_rejected(self):
         with pytest.raises(NotExtreme):
             angles_from_point(Correlation(-1, 0, 0, 0))
+
+    def test_entry_of_exactly_one_plus_eps_accepted(self):
+        eps = 2.0 ** -30
+        tol = Tolerance(eps_boundary=eps)
+        t = angles_from_point(Correlation(1.0 + eps, 1, 1, 1), tol)
+        assert t.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(NotExtreme, match="outside the cube"):
+            angles_from_point(
+                Correlation(math.nextafter(1.0 + eps, 2.0), 1, 1, 1), tol)
+
+    def test_residual_of_exactly_eps_angle_accepted(self):
+        # the angles miss a zero sum by about 1e-7; the search's gate is
+        # the reference for the least eps_angle that admits the point
+        c = Correlation(math.cos(0.3), math.cos(0.4), math.cos(0.5),
+                        math.cos(1.2 - 1e-7))
+
+        def admitted(eps):
+            try:
+                angles_by_search(c, Tolerance(eps_angle=eps))
+            except NotExtreme:
+                return False
+            return True
+
+        eps = _least_float(admitted, 0.0, 1e-6)
+        assert 1e-8 < eps < 1e-6
+        assert repr(angles_from_point(c, Tolerance(eps_angle=eps))) \
+            == repr(angles_by_search(c, Tolerance(eps_angle=eps)))
+        with pytest.raises(NotExtreme, match="best residual"):
+            angles_from_point(
+                c, Tolerance(eps_angle=math.nextafter(eps, 0.0)))
 
     def test_round_trip_canonical(self):
         rng = np.random.default_rng(61)

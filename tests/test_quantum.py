@@ -352,7 +352,7 @@ class TestRowRoute:
         for t in tuples:
             m = build_model(t)
             got = selftest_residuals(m)
-            ref = quantum._selftest_arrays(*quantum._checked_arrays(m), m.d)
+            ref = quantum._selftest_arrays(*quantum._checked_arrays(m))
             assert isinstance(got.gamma, tuple)
             assert isinstance(ref.gamma, tuple)
             pairs = list(zip(sum(got.gamma, ()), sum(ref.gamma, ())))
