@@ -116,7 +116,7 @@ def _wrap_angle(x: float, eps: float) -> float:
     return y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AngleTuple:
     """Angles ``(alpha, beta, gamma, delta)`` with sum ≡ 0 mod 2π.
 
@@ -135,15 +135,20 @@ class AngleTuple:
     eps: float = field(default=DEFAULT_TOLERANCE.eps_angle, compare=False,
                        repr=False)
 
-    def __post_init__(self) -> None:
-        _check_finite(type(self).__name__, self.as_tuple())
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite: {self.eps!r}")
-        total = self.alpha + self.beta + self.gamma + self.delta
-        res = abs(math.remainder(total, TWO_PI))
-        if res > self.eps:
+    def __init__(self, alpha: float, beta: float, gamma: float, delta: float,
+                 eps: float = DEFAULT_TOLERANCE.eps_angle) -> None:
+        if not (math.isfinite(alpha) and math.isfinite(beta)
+                and math.isfinite(gamma) and math.isfinite(delta)):
+            _check_finite(type(self).__name__, (alpha, beta, gamma, delta))
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"eps must be positive and finite: {eps!r}")
+        res = abs(math.remainder(alpha + beta + gamma + delta, TWO_PI))
+        if res > eps:
             raise AngleSumViolation(
                 f"angle sum residual {res:.3e} exceeds tolerance")
+        d = self.__dict__
+        d["alpha"] = alpha; d["beta"] = beta; d["gamma"] = gamma
+        d["delta"] = delta; d["eps"] = eps
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta)
@@ -308,13 +313,17 @@ class _Certificate:
         return _count_above(rows, _psd_threshold(rows, tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Completion(_Certificate):
     """A candidate completion ``(u, v)`` of the 4x4 certificate matrix."""
 
     c: Correlation
     u: float
     v: float
+
+    def __init__(self, c: Correlation, u: float, v: float) -> None:
+        d = self.__dict__
+        d["c"] = c; d["u"] = u; d["v"] = v
 
     def rows(self) -> tuple[tuple[float, ...], ...]:
         c11, c12, c21, c22 = self.c.as_tuple()
@@ -325,12 +334,18 @@ class Completion(_Certificate):
                 (c12, c22, v, 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CompletionResult:
     feasible: bool
     witness: Completion
     unique: bool
     tol: Tolerance
+
+    def __init__(self, feasible: bool, witness: Completion, unique: bool,
+                 tol: Tolerance) -> None:
+        d = self.__dict__
+        d["feasible"] = feasible; d["witness"] = witness
+        d["unique"] = unique; d["tol"] = tol
 
     @functools.cached_property
     def rank(self) -> int:
@@ -441,10 +456,14 @@ def classify(c: Correlation, tol: Tolerance = DEFAULT_TOLERANCE) -> Stratum:
 # Angle parametrization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExtremePoint:
     c: Correlation
     stratum: Stratum
+
+    def __init__(self, c: Correlation, stratum: Stratum) -> None:
+        d = self.__dict__
+        d["c"] = c; d["stratum"] = stratum
 
 
 # The arccos sign patterns ``s``, ``s_j = -1`` for bit j of the masks

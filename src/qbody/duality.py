@@ -86,7 +86,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CaseVerdict:
     """Which branch of the support function applies to a functional.
 
@@ -101,6 +101,14 @@ class CaseVerdict:
     phi_classical: float
     phi_quantum: float | None
     vertex: tuple[float, float, float, float]
+
+    def __init__(self, quantum_case: bool, m_value: float | None,
+                 phi_classical: float, phi_quantum: float | None,
+                 vertex: tuple[float, float, float, float]) -> None:
+        d = self.__dict__
+        d["quantum_case"] = quantum_case; d["m_value"] = m_value
+        d["phi_classical"] = phi_classical; d["phi_quantum"] = phi_quantum
+        d["vertex"] = vertex
 
     @property
     def phi(self) -> float:

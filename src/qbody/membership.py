@@ -71,7 +71,7 @@ class PushDirection(enum.Enum):
     INVERSE = "inverse"     # t -> (2/pi) asin(t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MembershipVerdict:
     """Outcome of a membership test.
 
@@ -82,6 +82,11 @@ class MembershipVerdict:
     inside: bool
     margin: float
     oracle: Oracle | None
+
+    def __init__(self, inside: bool, margin: float,
+                 oracle: Oracle | None) -> None:
+        d = self.__dict__
+        d["inside"] = inside; d["margin"] = margin; d["oracle"] = oracle
 
 
 # ---------------------------------------------------------------------------

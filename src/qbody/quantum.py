@@ -130,7 +130,7 @@ def _as_lists(x) -> list:
     return [list(row) if isinstance(row, tuple) else row for row in x]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuantumModel:
     """State vector plus four commuting-pair observables on R^d, where
     ``d`` is the length of ``psi``."""
@@ -140,6 +140,12 @@ class QuantumModel:
     A2: Sequence[Sequence[float]]
     B1: Sequence[Sequence[float]]
     B2: Sequence[Sequence[float]]
+
+    def __init__(self, psi: Sequence[float], A1: Sequence[Sequence[float]],
+                 A2: Sequence[Sequence[float]], B1: Sequence[Sequence[float]],
+                 B2: Sequence[Sequence[float]]) -> None:
+        d = self.__dict__
+        d["psi"] = psi; d["A1"] = A1; d["A2"] = A2; d["B1"] = B1; d["B2"] = B2
 
     @property
     def d(self) -> int:

@@ -119,6 +119,26 @@ class TestSolveCompletion:
         assert not solve_completion(c, tighter).feasible
         assert not member(c, Oracle.COMPLETION, tighter).inside
 
+    # the v interval is the wider at the first point, the u interval at its
+    # transpose, so each of the two width comparisons meets its edge once
+    @pytest.mark.parametrize("c", [(0.3, 0.2, 0.1, -0.4),
+                                   (0.3, 0.1, 0.2, -0.4)])
+    def test_unique_at_a_width_of_exactly_the_bound(self, c, monkeypatch):
+        from qbody import boundary
+        from qbody.membership import _entry_interval, _unit_gaps
+        c11, c12, c21, c22 = c
+        gaps = g11, g12, g21, g22 = _unit_gaps(*c)
+        lu, ru = _entry_interval(c11, c12, c21, c22, _Floats, gaps)
+        lv, rv = _entry_interval(c11, c21, c12, c22, _Floats,
+                                 (g11, g21, g12, g22))
+        width = max(ru - lu, rv - lv)
+        assert width > 1.0
+        monkeypatch.setattr(boundary, "_UNIQUE_WIDTH", width)
+        assert solve_completion(Correlation(*c)).unique
+        monkeypatch.setattr(boundary, "_UNIQUE_WIDTH",
+                            math.nextafter(width, 0.0))
+        assert not solve_completion(Correlation(*c)).unique
+
 
 class TestClassify:
     def test_examples(self):
@@ -252,6 +272,17 @@ class TestExtremeFromAngles:
             a, b, g = rng.uniform(0.1, 1.0, 3)
             t = AngleTuple(a, b, g, -(a + b + g), eps=1e-16)
             assert extreme_from_angles(t).stratum is Stratum.Q4
+
+    def test_sine_of_exactly_eps_counts_as_zero(self):
+        # beta's sine is the only one near eps: at eps = |sin beta| it
+        # counts as a multiple of pi (one cube coordinate, Q3), one ULP
+        # below it does not
+        angles = (0.7, 1e-7, 0.5, -(0.7 + 1e-7 + 0.5))
+        eps = abs(math.sin(1e-7))
+        t = AngleTuple(*angles, eps=eps)
+        assert extreme_from_angles(t).stratum is Stratum.Q3
+        t = AngleTuple(*angles, eps=math.nextafter(eps, 0.0))
+        assert extreme_from_angles(t).stratum is Stratum.Q4
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
     def test_eps_must_be_positive_and_finite(self, bad):
