@@ -283,10 +283,9 @@ def _run(args: argparse.Namespace) -> dict | measures.SliceTable | list:
         points = measures.sample(_TARGETS[args.target], cfg)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                measures.write_csv(fh, measures.AXES,
-                                   [c.as_tuple() for c in points])
+                measures.write_csv(fh, measures.AXES, points)
             return {"written": args.out, "count": len(points)}
-        return {"points": [list(c.as_tuple()) for c in points]}
+        return {"points": [list(c) for c in points]}
 
     if cmd == "slice":
         if args.offset is not None and args.normal is None:

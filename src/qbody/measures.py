@@ -243,7 +243,7 @@ def sample(target: SampleTarget, cfg: SamplerConfig) -> list[Correlation]:
         SampleTarget.Q5_STRATUM: _accept_q5,
     }[target]
     pts = _sample_blocks(cfg, accept)
-    return [Correlation.from_sequence(row) for row in pts]
+    return [Correlation(*row) for row in pts.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,25 @@ def _eps_tuple(draw):
 
 
 @st.composite
+def _thin_sine_tuple(draw):
+    """An angle tuple at ``eps`` 1e-9 or 1e-6 with one angle 1 to 100
+    ``eps`` off a multiple of π, so that its sine comes down to about
+    ``eps``, two angles whose sines are at least 0.05, and ``delta`` off
+    the negated sum by up to ``eps``; None if its sum misses at ``eps``."""
+    eps = draw(st.sampled_from([1e-9, 1e-6]))
+    thin = draw(st.sampled_from([0.0, math.pi, -math.pi])) \
+        + draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1.0, 100.0)) * eps
+    free = st.floats(-math.pi, math.pi).filter(
+        lambda a: abs(math.sin(a)) >= 0.05)
+    a, b, g = draw(st.permutations([thin, draw(free), draw(free)]))
+    offset = draw(st.floats(-1.0, 1.0))
+    try:
+        return AngleTuple(a, b, g, -(a + b + g) + offset * eps, eps=eps)
+    except AngleSumViolation:
+        return None
+
+
+@st.composite
 def _facet_point(draw):
     """A point with one entry of modulus 1, the float below 1 or just
     above 1, inside or outside its facet's elliptope."""
@@ -488,6 +507,17 @@ class TestExposingFunctional:
             else:
                 assert value < 1.0
 
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(_thin_sine_tuple())
+    def test_admitted_thin_sines_meet_the_incidence_band(self, t):
+        # every tuple the sine, product and cotangent checks admit gives
+        # a functional, not a ConsistencyError from the 1e-10 incidence band
+        assume(t is not None)
+        try:
+            exposing_functional(t)
+        except DegenerateAngles:
+            pass
+
 
 class TestGramVectors:
     def test_rank_two_system(self):
@@ -521,6 +551,22 @@ class TestGramVectors:
             gs = gram_vectors(solve_completion(c).witness)
             assert np.abs(gs.correlation().as_array() - c.as_array()).max() \
                 < 1e-9
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(_group_image(), st.tuples(*[st.floats(-1e-9, 1e-9)] * 4),
+           st.sampled_from([DEFAULT_TOLERANCE, Tolerance(eps_psd=1e-12)]))
+    def test_feasible_moved_angle_points_meet_the_residual_band(
+            self, point, move, tol):
+        # a witness that solve_completion calls feasible factors, or is a
+        # NotPSD domain error; never a ConsistencyError from the 1e-9
+        # residual band
+        c = Correlation(*(x + dx for x, dx in zip(point, move)))
+        result = solve_completion(c, tol)
+        assume(result.feasible)
+        try:
+            gram_vectors(result.witness, tol)
+        except NotPSD:
+            pass
 
 
 # the eight odd sign patterns of the CHSH faces of CL
