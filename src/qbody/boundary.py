@@ -68,8 +68,6 @@ from .core import (
     _Floats,
     _check_finite,
     _fold_sum,
-    _odd_sums,
-    _two_h,
 )
 from .membership import (_completion_slack, _entry_interval,
                          _inverse_pushout, _max_abs, _odd_max, _unit_gaps)
@@ -466,13 +464,10 @@ class ExtremePoint:
         d["c"] = c; d["stratum"] = stratum
 
 
-# The arccos sign patterns ``s``, ``s_j = -1`` for bit j of the masks
-# 0..7, each with the index of ``±s·x`` among the odd and even sums of x.
-_PATTERNS = tuple((tuple(1 - 2 * (m >> j & 1) for j in range(4)), k)
-                  for m, k in enumerate((4, 3, 2, 6, 1, 5, 7, 0)))
-# A gap is its pattern's sum residual over π/2 up to a round-off below
-# 1e-14: a pattern that may have the least residual has a gap this close.
-_TIED_GAP = 1e-12
+# The arccos sign patterns ``s``, ``s_j = -1`` for bit j of the masks 0..7;
+# masks 8..15 flip delta's sign too, negating the total, and tie with these.
+_PATTERNS = tuple(tuple(1 - 2 * (m >> j & 1) for j in range(4))
+                  for m in range(8))
 
 
 def extreme_from_angles(t: AngleTuple) -> ExtremePoint:
@@ -491,27 +486,18 @@ def angles_from_point(c: Correlation,
                       tol: Tolerance = DEFAULT_TOLERANCE) -> AngleTuple:
     """Recover the canonical angle tuple of an extreme-stratum point.
 
-    Takes the arccos sign pattern, up to overall negation, of the least sum
-    residual, the first in mask order on ties (:data:`_PATTERNS`).  For
-    ``x = 1 - (2/π)·acos(c)``, a pattern ``s`` gives ``Σ s_ij·acos(c_ij) =
-    (π/2)·(Σs - s·x)``, so the odd and even sums of ``x`` give every
-    residual to round-off, and only patterns within :data:`_TIED_GAP` of
-    the least have theirs summed.  Above ``tol.eps_angle``, the tuple's
-    ``eps``, it raises :class:`NotExtreme`: facet interiors, and other
-    interior and exterior points, have no cosine parametrization.
-    Accuracy degrades like ``1/|sin|`` next to saturated coordinates.
+    Sums every arccos sign pattern, up to overall negation, and takes the
+    one of least sum residual, the first in mask order on ties
+    (:data:`_PATTERNS`).  Above ``tol.eps_angle``, the tuple's ``eps``, it
+    raises :class:`NotExtreme`: facet interiors, and other interior and
+    exterior points, have no cosine parametrization.  Accuracy degrades
+    like ``1/|sin|`` next to saturated coordinates.
     """
     values = c.as_tuple()
     if max(abs(v) for v in values) > 1.0 + tol.eps_boundary:
         raise NotExtreme("point outside the cube")
     base = [math.acos(min(1.0, max(-1.0, v))) for v in values]
-    x = [1.0 - b * (2.0 / math.pi) for b in base]
-    sums = _odd_sums(*x) + _two_h(*x)
-    gaps = [abs(2.0 - abs(v)) for v in sums[:4]] \
-        + [min(abs(v), 4.0 - abs(v)) for v in sums[4:]]
-    tied = min(gaps) + _TIED_GAP
-    raws = [[s * b for s, b in zip(signs, base)]
-            for signs, k in _PATTERNS if gaps[k] <= tied]
+    raws = [[s * b for s, b in zip(signs, base)] for signs in _PATTERNS]
     totals = [_fold_sum(raw) for raw in raws]
     res, i = min((abs(math.remainder(t, TWO_PI)), i)
                  for i, t in enumerate(totals))
@@ -591,30 +577,41 @@ def gram_vectors(comp: Completion,
 
     ``r`` steps of diagonal-pivoted Cholesky (the largest remaining
     diagonal entry first, the first on ties), ``r`` the numerical rank of
-    :meth:`_Certificate.rank`, give rows ``F`` with ``F·Fᵀ ≈ C``, rescaled
-    to exact unit length.  Raises :class:`NotPSD` unless
-    :meth:`_Certificate.is_psd`, :class:`ConsistencyError` if ``F`` does
-    not reproduce ``C`` to 1e-9.
+    :meth:`_Certificate.rank` or 1 if larger, give rows ``F`` with ``F·Fᵀ =
+    C - S`` for the Schur complement ``S`` left, rescaled to exact unit
+    length.  Steps go on while a row of ``F`` is zero, which a coarse
+    ``eps_psd`` can leave; a pivot that round-off leaves at or below 0
+    gives a zero column.  Raises :class:`NotPSD` unless
+    :meth:`_Certificate.is_psd`, :class:`ConsistencyError` if ``F·Fᵀ + S``
+    is not ``C`` to 1e-9.
     """
     if not comp.is_psd(tol):
         raise NotPSD(f"the completion is not PSD at eps_psd {tol.eps_psd:g}")
     matrix = comp.rows()
     a, live, columns = [list(row) for row in matrix], [0, 1, 2, 3], []
-    for _ in range(comp.rank(tol)):
+    rank = max(1, comp.rank(tol))
+    while len(columns) < rank or not all(map(any, zip(*columns))):
         p = max(live, key=lambda i: a[i][i])  # max keeps the first on ties
         live.remove(p)
-        root = math.sqrt(a[p][p])
-        column = [a[i][p] / root if i in live else 0.0 for i in range(4)]
+        root = math.sqrt(max(a[p][p], 0.0))
+        column = [a[i][p] / root if root and i in live else 0.0
+                  for i in range(4)]
         column[p] = root
         for i in live:
             for j in live:
                 a[i][j] -= column[i] * column[j]
         columns.append(column)
+    # S is the rank cut, sized by eps_psd; 1e-9 holds round-off alone, below
+    # 2·(r + 1)·ε·|F|·|F|ᵀ (Higham, Thm 10.3): 1e-15 for rows of norm ~1.
+    # F·Fᵀ, S and C are symmetric, so the upper triangle is checked.
+    factor = list(zip(*columns))
+    if not all(abs(_fold_sum(x * y for x, y in zip(factor[i], factor[j]))
+                   - matrix[i][j]
+                   + (a[i][j] if i in live and j in live else 0.0)) <= 1e-9
+               for i in range(4) for j in range(i, 4)):
+        raise ConsistencyError("Gram factorization residual exceeds 1e-9")
     rows = []
-    for row in zip(*columns):
+    for row in factor:
         norm = math.hypot(*row)
         rows.append(tuple(x / norm for x in row))
-    if not all(abs(_fold_sum(x * y for x, y in zip(ri, rj)) - m) <= 1e-9
-               for ri, mrow in zip(rows, matrix) for rj, m in zip(rows, mrow)):
-        raise ConsistencyError("Gram factorization residual exceeds 1e-9")
     return GramSystem(*rows)

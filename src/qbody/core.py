@@ -63,7 +63,7 @@ changes answers.
     core._REL_TOL                 1e-9   arithmetic  h forms; dual polys at 2Hf
     quantum_case criteria band    1e-9   arithmetic  three case criteria agree
     dual_member                   1e-8   arithmetic  support vs primal route
-    duality._BALANCE_TOL          1e-10  arithmetic  certificate diagonal sum 2
+    duality._BALANCE_TOL          1e-10  arithmetic  rounding of p1 and p3
     phi_map, image in the cube    1e-9   arithmetic  dual image entries
     phi_map, branch closure       1e-8   arithmetic  arccos branch sum
     boundary._UNIQUE_WIDTH        1e-8   choice      width reported unique

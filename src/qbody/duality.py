@@ -250,23 +250,18 @@ def dual_member(f: Functional) -> MembershipVerdict:
 # Dual matrix completion
 # ---------------------------------------------------------------------------
 
-_BALANCE_TOL = 1e-10  # how far a certificate diagonal may sum from 2
+_BALANCE_TOL = 1e-10  # how far the rounding of p1 and p3 may reach
 
 
 @dataclass(frozen=True)
 class DualCompletion(_Certificate):
-    """Diagonal certificate for ``f ∈ Q°`` with balanced row sums."""
+    """Diagonal certificate for ``f ∈ Q°``, balanced by construction."""
 
     f: Functional
     p1: float
-    p2: float
     p3: float
-    p4: float
-
-    def __post_init__(self) -> None:
-        total = self.p1 + self.p2 + self.p3 + self.p4
-        if abs(total - 2.0) > _BALANCE_TOL:
-            raise ValueError(f"diagonal sum {total!r} != 2")
+    p2 = property(lambda self: 1.0 - self.p1)
+    p4 = property(lambda self: 1.0 - self.p3)
 
     def rows(self) -> tuple[tuple[float, ...], ...]:
         f11, f12, f21, f22 = self.f.as_tuple()
@@ -337,7 +332,7 @@ def dual_completion(f: Functional,
         raise ConsistencyError(
             f"the certificate diagonal cannot be balanced in floating point: "
             f"p1 = {p1!r} and p3 = {p3!r} are known only to {bound:.1e}")
-    witness = DualCompletion(f=f, p1=p1, p2=1.0 - p1, p3=p3, p4=1.0 - p3)
+    witness = DualCompletion(f=f, p1=p1, p3=p3)
     return DualCompletionResult(feasible=witness.is_psd(tol), witness=witness,
                                 support=s, maximizer=Correlation(*c_star))
 

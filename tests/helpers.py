@@ -122,9 +122,8 @@ def angles_by_search(c: Correlation,
                      tol: Tolerance = DEFAULT_TOLERANCE) -> AngleTuple:
     """The canonical angle tuple of ``c`` by a search of the eight arccos
     sign patterns, up to overall negation, for the least sum residual,
-    the first on ties: the reference that ``angles_from_point``, which
-    sums only the patterns the odd and even sums of the pushout leave
-    tied, must reproduce bit for bit."""
+    the first on ties: a reference, written apart from the library's
+    ``angles_from_point``, that it must reproduce bit for bit."""
     values = c.as_tuple()
     if max(abs(v) for v in values) > 1.0 + tol.eps_boundary:
         raise NotExtreme("point outside the cube")
@@ -313,8 +312,7 @@ def dual_completion_grid(f: Functional, tol: Tolerance = DEFAULT_TOLERANCE
             p1_best, p3_best, val_best = cand1[idx], cand3[idx], vals[idx]
         step *= 0.5
 
-    witness = DualCompletion(f=f, p1=float(p1_best), p2=float(1.0 - p1_best),
-                             p3=float(p3_best), p4=float(1.0 - p3_best))
+    witness = DualCompletion(f=f, p1=float(p1_best), p3=float(p3_best))
     feasible = bool(val_best >= -_psd_threshold(witness.rows(), tol))
     return feasible, witness, float(val_best)
 

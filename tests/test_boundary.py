@@ -5,7 +5,7 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qbody import (
@@ -29,8 +29,8 @@ from qbody import (
     solve_completion,
     symmetry_group,
 )
-from qbody.boundary import _PATTERNS, Completion, _face
-from qbody.core import _Floats, _odd_sums, _two_h
+from qbody.boundary import Completion, _face
+from qbody.core import _Floats
 
 from helpers import (
     CHSH_ANGLES,
@@ -205,6 +205,16 @@ def _group_image(draw):
     c = symmetry_group()[draw(st.integers(0, 191))] \
         @ AngleTuple(*abg, -sum(abg)).cosines().as_array()
     return tuple(map(float, c))
+
+
+@st.composite
+def _admitted_tolerance(draw):
+    """A ``Tolerance`` with ``eps_psd`` any positive float and
+    ``eps_boundary`` any float from it up, as ``Tolerance`` admits."""
+    finite = {"allow_nan": False, "allow_infinity": False}
+    eps_psd = draw(st.floats(0.0, exclude_min=True, **finite))
+    return Tolerance(eps_boundary=draw(st.floats(eps_psd, **finite)),
+                     eps_psd=eps_psd)
 
 
 @st.composite
@@ -403,17 +413,9 @@ class TestAnglesFromPoint:
             c = sampler(rng)
             assert repr(angles_from_point(c)) == repr(angles_by_search(c))
 
-    def test_patterns_index_their_sums(self):
-        # powers of ten give every pattern its own |s·x|
-        x = (1, 10, 100, 1000)
-        sums = _odd_sums(*x) + _two_h(*x)
-        assert sorted(k for _, k in _PATTERNS) == list(range(8))
-        for signs, k in _PATTERNS:
-            assert abs(sums[k]) == abs(sum(s * v for s, v in zip(signs, x)))
-
     def test_tied_patterns_pick_as_the_search(self):
         # four patterns meet the sum within 1.8e-9: their residuals tie
-        # exactly and the first mask wins, where the least gap is another
+        # exactly and the first mask wins
         c = Correlation(-1.0, 1.0, 0.999999999999998, -0.9999999999999979)
         t = angles_from_point(c, Tolerance(eps_angle=1e-6))
         assert t.as_tuple() == (math.pi, 0.0, 6.322027276634106e-08,
@@ -561,6 +563,65 @@ class TestGramVectors:
         # NotPSD domain error; never a ConsistencyError from the 1e-9
         # residual band
         c = Correlation(*(x + dx for x, dx in zip(point, move)))
+        result = solve_completion(c, tol)
+        assume(result.feasible)
+        try:
+            gram_vectors(result.witness, tol)
+        except NotPSD:
+            pass
+
+    def test_rank_cut_is_not_a_residual(self):
+        # feasible at eps_psd 1e-9, where the witness's eigenvalue 9.3e-10
+        # falls under the threshold: the rank-2 factor leaves it out
+        c = Correlation(-0.9204017438004054, -0.958758219970605,
+                        -1.0000000000896587, -0.7713189770940735)
+        tol = Tolerance(eps_psd=1e-9)
+        result = solve_completion(c, tol)
+        assert result.feasible and result.rank == 2
+        gs = gram_vectors(result.witness, tol)
+        assert gs.r == 2
+        # pivoted Cholesky leaves ‖S‖ ≤ (1 + ‖W‖²)·λ3 with ‖W‖² ≤ 10 at
+        # n = 4, r = 2, and λ3 under the threshold, eps_psd times the
+        # largest entry |c21|; rescaling the rows at most doubles it
+        assert max(abs(x - y) for x, y in zip(gs.correlation().as_tuple(),
+                                               c.as_tuple())) \
+            <= 22 * tol.eps_psd * abs(c.c21)
+
+    # at an eps_psd near 1e-17 the rank counts an eigenvalue at round-off
+    # scale, and the pivot of that step comes out below 0 (the first) or
+    # at 0 with a row left to eliminate (the second)
+    @pytest.mark.parametrize("c, eps_psd, eps_boundary", [
+        ((-0.5663949006911358, -0.6055983304770682, -0.5215717990845617,
+          0.9735435587737162), 5.721668724625977e-17, 6.269174845346078e-17),
+        ((-0.053643298260743794, 0.6219623630871638, -1.0,
+          0.8152837883870114), 1.5654136861145396e-17,
+         1.5654136861145396e-17),
+    ])
+    def test_pivot_at_or_below_zero_gives_a_zero_column(
+            self, c, eps_psd, eps_boundary):
+        c = Correlation(*c)
+        tol = Tolerance(eps_boundary=eps_boundary, eps_psd=eps_psd)
+        result = solve_completion(c, tol)
+        assert result.feasible
+        gs = gram_vectors(result.witness, tol)
+        assert gs.r == result.rank
+        assert all(x == 0.0 for x in np.stack(gs.vectors())[:, -1])
+        assert np.allclose(gs.correlation().as_array(), c.as_array(),
+                           atol=1e-12)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(_group_image(), st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+           _admitted_tolerance())
+    # a rank-1 cut at eps_psd 2 leaves the row of a2 at 0: the steps go on
+    @example((1.0, 6.123233995736766e-17, 6.123233995736766e-17, -1.0),
+             (0.0, 0.0, 0.0, 0.0), Tolerance(eps_boundary=2.0, eps_psd=2.0))
+    def test_feasible_moved_angle_points_factor_at_every_eps_psd(
+            self, point, move, tol):
+        # the move reaches eps_boundary, or 1 past which few points are
+        # feasible, and eps_psd takes every value up to eps_boundary: a
+        # feasible witness factors or is NotPSD
+        c = Correlation(*(x + min(tol.eps_boundary, 1.0) * dx
+                          for x, dx in zip(point, move)))
         result = solve_completion(c, tol)
         assume(result.feasible)
         try:
