@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -204,7 +205,8 @@ RANK_BY_STRATUM = {
 def _psd_threshold(rows, tol: Tolerance) -> float:
     """Eigenvalue threshold for semidefiniteness and numerical rank:
     ``tol.eps_psd`` relative to the largest entry, or to 1 if larger."""
-    return tol.eps_psd * max(1.0, max(abs(x) for row in rows for x in row))
+    entries = itertools.chain.from_iterable(rows)
+    return tol.eps_psd * _Floats.maximum(1.0, max(map(abs, entries)))
 
 
 # Bunch–Parlett's pivot ratio; it bounds the growth of the entries that
@@ -377,13 +379,14 @@ def solve_completion(c: Correlation,
 
     feasible = _completion_slack(gaps, lu, ru, _Floats) >= -eps
 
-    u = min(1.0, max(-1.0, 0.5 * (lu + ru)))
+    u = _Floats.clip(0.5 * (lu + ru), -1.0, 1.0)
     if 1.0 - u * u > 1e-12:
         v = (c11 * c12 + c21 * c22 - (c11 * c22 + c12 * c21) * u) \
             / (1.0 - u * u)
-        v = min(max(v, min(lv, rv)), max(lv, rv))
+        lo, hi = _Floats.minimum(lv, rv), _Floats.maximum(lv, rv)
+        v = _Floats.minimum(_Floats.maximum(v, lo), hi)  # v first: not clip
     else:
-        v = min(1.0, max(-1.0, 0.5 * (lv + rv)))
+        v = _Floats.clip(0.5 * (lv + rv), -1.0, 1.0)
     witness = Completion(c=c, u=u, v=v)
 
     unique = feasible and (ru - lu) <= _UNIQUE_WIDTH \
@@ -494,9 +497,9 @@ def angles_from_point(c: Correlation,
     like ``1/|sin|`` next to saturated coordinates.
     """
     values = c.as_tuple()
-    if max(abs(v) for v in values) > 1.0 + tol.eps_boundary:
+    if max(map(abs, values)) > 1.0 + tol.eps_boundary:
         raise NotExtreme("point outside the cube")
-    base = [math.acos(min(1.0, max(-1.0, v))) for v in values]
+    base = [math.acos(_Floats.clip(v, -1.0, 1.0)) for v in values]
     raws = [[s * b for s, b in zip(signs, base)] for signs in _PATTERNS]
     totals = [_fold_sum(raw) for raw in raws]
     res, i = min((abs(math.remainder(t, TWO_PI)), i)

@@ -342,8 +342,8 @@ class TransformDirection(enum.Enum):
 # columns, ``*pts.T``).  Kernels use only ``+ - * |``, comparisons, the
 # builtins ``abs`` and ``sum``, and ``minimum``, ``maximum``, ``sqrt``,
 # ``arcsin`` and ``clip`` from a namespace argument ``xp``: ``numpy`` for
-# arrays, :class:`_Floats` for floats, which keeps numpy's per-call
-# overhead off the scalar path.
+# arrays, :class:`_Floats` for floats, which returns the argument the
+# builtin ``min`` or ``max`` would, without its argument parsing.
 # Batch callers go through ``membership._by_blocks``, which evaluates a
 # kernel a few thousand rows at a time: a kernel makes a few dozen
 # temporaries, and on block-sized columns they stay in the core's cache.
@@ -352,13 +352,18 @@ class TransformDirection(enum.Enum):
 # a float ``s += t`` is ``s = s + t``, so both paths round the same way.
 
 class _Floats:
-    """The five numpy functions the kernels use, over builtins and math."""
+    """The five numpy functions the kernels use, over floats: ``minimum``,
+    ``maximum`` and ``clip`` return the argument object that ``min(a, b)``,
+    ``max(a, b)`` and ``min(hi, max(lo, v))`` return, NaN and ±0.0 too."""
 
-    minimum, maximum, sqrt, arcsin = min, max, math.sqrt, math.asin
+    sqrt, arcsin = math.sqrt, math.asin
+    minimum = staticmethod(lambda a, b: b if b < a else a)
+    maximum = staticmethod(lambda a, b: b if b > a else a)
 
     @staticmethod
     def clip(v, lo, hi):
-        return min(hi, max(lo, v))
+        v = v if v > lo else lo
+        return v if v < hi else hi
 
 
 def _g(c11, c12, c21, c22):
@@ -443,7 +448,8 @@ _REL_TOL = 1e-9  # the bound of the polynomial cross-checks below
 def _assert_close(a: float, b: float, rel: float, what: str) -> None:
     # NaN, and inf - inf, compare false with the bound, so are caught first
     if not (math.isfinite(a) and math.isfinite(b)) \
-            or abs(a - b) > rel * max(1.0, abs(a), abs(b)):
+            or abs(a - b) > rel * _Floats.maximum(
+                _Floats.maximum(1.0, abs(a)), abs(b)):
         raise ConsistencyError(f"{what}: {a!r} vs {b!r}")
 
 

@@ -61,6 +61,7 @@ from .core import (
     ZeroFunctional,
     dual_polys,
     dual_transform,
+    _Floats,
     _fold_sum,
     _h,
     _h_polar,
@@ -124,7 +125,7 @@ def _normalized(entries: tuple) -> tuple[tuple, int]:
     wherever that neither under- nor overflows; and the scaled entries
     keep products up to degree 6 in the float range at any magnitude.
     """
-    e = math.frexp(max(abs(v) for v in entries))[1]
+    e = math.frexp(max(map(abs, entries)))[1]
     return tuple(math.ldexp(v, -e) for v in entries), e
 
 
@@ -140,7 +141,7 @@ def quantum_case(f: Functional) -> CaseVerdict:
     the scaled functional.  A support value beyond the float range raises
     :class:`ConsistencyError`.
     """
-    if max(abs(v) for v in f.as_tuple()) == 0.0:
+    if max(map(abs, f.as_tuple())) == 0.0:
         raise ZeroFunctional("the zero functional has no case split")
     entries, exponent = _normalized(f.as_tuple())
 
@@ -152,10 +153,10 @@ def quantum_case(f: Functional) -> CaseVerdict:
     # criterion B: p < 0 and the even-signed product of reciprocals < 0
     m_value, margin_a, margin_b = None, -p, -p
     if p < 0.0:
-        smallest = min(abs(v) for v in entries)
+        smallest = min(map(abs, entries))
         m_value = _fold_sum(smallest / abs(v) for v in entries)
-        margin_a = min(-p, m_value - 2.0)
-        margin_b = min(-p, -_q(*(1.0 / v for v in entries)))
+        margin_a = _Floats.minimum(-p, m_value - 2.0)
+        margin_b = _Floats.minimum(-p, -_q(*(1.0 / v for v in entries)))
     verdict_a, verdict_b = margin_a > 0.0, margin_b > 0.0
 
     # criterion C: after the even sign change putting the classical
@@ -207,7 +208,7 @@ def _exact(entries) -> list:
 
 def support(f: Functional) -> float:
     """Maximum of ``f·c`` over ``Q`` (positively homogeneous, support(0)=0)."""
-    if max(abs(v) for v in f.as_tuple()) == 0.0:
+    if max(map(abs, f.as_tuple())) == 0.0:
         return 0.0
     return quantum_case(f).phi
 
@@ -385,7 +386,7 @@ def _dual_image(t: AngleTuple) -> tuple[float, ...]:
 
 
 def _arccos(image: tuple[float, ...]) -> list[float]:
-    return [math.acos(min(1.0, max(-1.0, v))) for v in image]
+    return [math.acos(_Floats.clip(v, -1.0, 1.0)) for v in image]
 
 
 # ---------------------------------------------------------------------------

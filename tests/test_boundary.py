@@ -31,6 +31,7 @@ from qbody import (
 )
 from qbody.boundary import Completion, _face
 from qbody.core import _Floats
+from qbody.membership import _entry_interval, _unit_gaps
 
 from helpers import (
     CHSH_ANGLES,
@@ -274,6 +275,88 @@ _BEYOND = st.builds(lambda c, step: tuple(v * (1.0 + step) for v in c),
                     st.sampled_from([2e-16, 1e-12, 1e-9, 2e-9, 1e-8, 1e-6]))
 
 
+def _completion_branches(c):
+    """``u``, ``1 - u²`` and the two candidates for ``v`` (the fallback
+    midpoint, and the formula clamped to the ``v`` interval, None where
+    ``u = ±1``), by the builtins ``min`` and ``max``."""
+    c11, c12, c21, c22 = c
+    gaps = g11, g12, g21, g22 = _unit_gaps(*c)
+    lu, ru = _entry_interval(c11, c12, c21, c22, _Floats, gaps)
+    lv, rv = _entry_interval(c11, c21, c12, c22, _Floats,
+                             (g11, g21, g12, g22))
+    u = min(1.0, max(-1.0, 0.5 * (lu + ru)))
+    fallback = min(1.0, max(-1.0, 0.5 * (lv + rv)))
+    formula = None
+    if u * u != 1.0:
+        v = (c11 * c12 + c21 * c22 - (c11 * c22 + c12 * c21) * u) \
+            / (1.0 - u * u)
+        formula = min(max(v, min(lv, rv)), max(lv, rv))
+    return u, 1.0 - u * u, fallback, formula, (lv, rv)
+
+
+# entries of the cube, at its edges and up to 1e-9 beyond them
+_CLAMP_ENTRIES = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, _BELOW, -_BELOW, 1.0 - 1e-12,
+                     -1.0 + 1e-12, 1.0 + 1e-12, -1.0 - 1e-12, 1.0 + 1e-9]))
+
+
+@st.composite
+def _near_unit_u(draw):
+    """Cosines of ``(a, b, c, d)`` with ``a``, ``c`` below 2e-6 and ``d``
+    within 1e-6 of ``b``: ``u`` lies within about 1e-12 of 1, and the
+    ``v`` interval is wide enough for the two branches to differ."""
+    a, c = draw(st.tuples(*[st.floats(0.0, 2e-6)] * 2))
+    b = draw(st.floats(0.1, 3.0))
+    d = b + draw(st.floats(-1e-6, 1e-6))
+    return tuple(math.cos(x) for x in (a, b, c, d))
+
+
+class TestCompletionClamps:
+    """The clamps of ``u`` and ``v`` in ``solve_completion``, and the
+    ``1 - u²`` guard between the formula and the fallback for ``v``."""
+
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(st.one_of(st.tuples(*[_CLAMP_ENTRIES] * 4), _group_image(),
+                     _near_unit_u()),
+           _admitted_tolerance())
+    @example((1.0, 1.0, 1.0, 1.0), DEFAULT_TOLERANCE)
+    @example((1.0, 1.0, 1.0 - 1e-12, 1.0 - 1e-12), DEFAULT_TOLERANCE)
+    @example((-1.0, -1.0, 1.0 - 1e-12, 1.0 - 1e-12), DEFAULT_TOLERANCE)
+    @example((0.0, 0.0, 1.0, 1.0 + 1e-12), DEFAULT_TOLERANCE)  # v > 1
+    def test_branch_and_bounds(self, c, tol):
+        u, gap, fallback, formula, (lv, rv) = _completion_branches(c)
+        witness = solve_completion(Correlation(*c), tol).witness
+        assert -1.0 <= witness.u <= 1.0
+        # beyond the cube the v interval, and so v, may reach past ±1
+        if max(map(abs, c)) <= 1.0:
+            assert -1.0 <= witness.v <= 1.0
+        assert repr(witness.u) == repr(u)
+        if gap > 1e-12:
+            assert min(lv, rv) <= witness.v <= max(lv, rv)
+            assert repr(witness.v) == repr(formula)
+        else:
+            assert repr(witness.v) == repr(fallback)
+
+    @pytest.mark.parametrize("c, fallback", [
+        ((1.0, 1.0, 1.0, 1.0), True),                   # u = 1
+        ((-1.0, -1.0, 1.0, 1.0), True),                 # u = -1
+        # 1 - u² is 9.2e-13, then 2.0e-12: the two candidates differ
+        ((0.999999999999875, -0.4568166328150184, 0.9999999999998571,
+          -0.45681585552868176), True),
+        ((0.9999999999995, 0.3306260723908462, 0.9999999999995045,
+          0.3306257862555069), False),
+    ])
+    def test_guard_picks_the_branch(self, c, fallback):
+        u, gap, want, formula, _ = _completion_branches(c)
+        assert (gap <= 1e-12) == fallback
+        if formula is not None:
+            assert formula != want
+        if not fallback:
+            want = formula
+        assert solve_completion(Correlation(*c)).witness.v == want
+
+
 class TestFaceKernel:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(st.one_of(_group_image(), _facet_point(), _EDGE_ENTRIES,
@@ -433,14 +516,28 @@ class TestAnglesFromPoint:
         with pytest.raises(NotExtreme):
             angles_from_point(Correlation(-1, 0, 0, 0))
 
-    def test_entry_of_exactly_one_plus_eps_accepted(self):
-        eps = 2.0 ** -30
-        tol = Tolerance(eps_boundary=eps)
-        t = angles_from_point(Correlation(1.0 + eps, 1, 1, 1), tol)
-        assert t.as_tuple() == (0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(NotExtreme, match="outside the cube"):
-            angles_from_point(
-                Correlation(math.nextafter(1.0 + eps, 2.0), 1, 1, 1), tol)
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(_admitted_tolerance(), st.integers(0, 3),
+           st.tuples(*[st.sampled_from([1.0, -1.0])] * 3))
+    @example(Tolerance(eps_boundary=2.0 ** -30), 0, (1.0, 1.0, 1.0))
+    def test_entry_of_exactly_one_plus_eps_accepted(self, tol, at, signs):
+        # a vertex of the cube with one entry pushed out to 1 + eps, at
+        # every tolerance admitted; the even sign product keeps it extreme
+        edge = 1.0 + tol.eps_boundary
+        entries = list(signs)
+        entries.insert(at, signs[0] * signs[1] * signs[2])
+
+        def moved(v):
+            c = list(entries)
+            c[at] *= v
+            return Correlation(*c)
+
+        assert repr(angles_from_point(moved(edge), tol)) \
+            == repr(angles_from_point(moved(1.0), tol))
+        beyond = math.nextafter(edge, math.inf)
+        if beyond < math.inf:
+            with pytest.raises(NotExtreme, match="outside the cube"):
+                angles_from_point(moved(beyond), tol)
 
     def test_residual_of_exactly_eps_angle_accepted(self):
         # the angles miss a zero sum by about 1e-7; the search's gate is

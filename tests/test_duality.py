@@ -57,6 +57,16 @@ class TestQuantumCase:
         with pytest.raises(ZeroFunctional):
             quantum_case(Functional(0, 0, 0, 0))
 
+    def test_criteria_cross_check_can_raise(self, monkeypatch):
+        q = duality._q
+        monkeypatch.setattr(duality, "_q", lambda *args: -q(*args))
+        for f in (Functional(1, 1, 1, -1), Functional(0.3, 0.4, 0.2, -0.5)):
+            with pytest.raises(ConsistencyError, match="criteria disagree"):
+                quantum_case(f)
+        # margins of 6e-12 (A) and 0 (the perturbed B) lie in the band,
+        # where the criteria may disagree: no check is made there
+        assert quantum_case(Functional(1, 1, 1e-5, -1e-5)).quantum_case
+
 
 class TestSupport:
     def test_tsirelson_value(self):
@@ -206,6 +216,17 @@ class TestDualMember:
 
     def test_outside(self):
         assert not dual_member(Functional(1, 1, 1, 1)).inside
+
+    def test_support_cross_check_can_raise(self, monkeypatch):
+        # reflect the support through 1: it keeps its distance from the
+        # boundary and crosses to the other side of it
+        support = duality.support
+        monkeypatch.setattr(duality, "support", lambda f: 2.0 - support(f))
+        for f in (Functional(0.1, 0.1, 0.1, 0.1), Functional(1, 1, 1, 1)):
+            with pytest.raises(ConsistencyError, match="disagree"):
+                dual_member(f)
+        # inside the band the routes may differ: no check is made there
+        dual_member(Functional(*(v / (2 * SQRT2) for v in (1, 1, 1, -1))))
 
     def test_overflowing_transform_is_a_domain_error(self):
         # 2Hf sums entries near the float maximum to inf; this must not

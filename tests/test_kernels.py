@@ -13,6 +13,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbody import Correlation, chsh_values
 from qbody.boundary import _face
@@ -228,6 +230,36 @@ class TestBlockLayouts:
                     == ref(*cols, np).tobytes(), oracle
             assert classical_margin_batch(pts).tobytes() \
                 == ref_classical(*cols, np).tobytes()
+
+
+# floats of every class, and the ints and bools that ``_face`` compares
+_SCALARS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.integers(-1, 9), st.booleans())
+
+
+class TestFloatsNamespace:
+    """``_Floats`` returns the very object the builtins return."""
+
+    @settings(max_examples=3000, deadline=None, derandomize=True)
+    @given(_SCALARS, _SCALARS, _SCALARS)
+    @example(0.0, -0.0, 0.0)    # min and max keep the first of a tie
+    @example(-0.0, 0.0, -0.0)
+    @example(math.nan, 1.0, -1.0)
+    @example(1.0, math.nan, 2.0)
+    def test_builtin_semantics(self, a, b, c):
+        assert _Floats.minimum(a, b) is min(a, b)
+        assert _Floats.maximum(a, b) is max(a, b)
+        assert _Floats.clip(a, b, c) is min(c, max(b, a))
+
+    def test_face_arguments(self):
+        # the cube count against 3, the face index against 8 * outside
+        for cube in range(5):
+            assert _Floats.minimum(cube, 3) is min(cube, 3)
+        for face in range(8):
+            for outside in (False, True):
+                assert _Floats.maximum(face, 8 * outside) \
+                    is max(face, 8 * outside)
 
 
 def test_chsh_values():
